@@ -578,8 +578,8 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 		}
 		res.Placement = rp
 		res.ILPNodes += rstats.Nodes
-		res.RefineWindows = rstats.Windows
-		res.RefineAccepts = rstats.Accepts
+		res.RefineWindows += rstats.Windows
+		res.RefineAccepts += rstats.Accepts
 	}
 
 	res.Runtime = time.Since(start)

@@ -146,32 +146,29 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, op
 				return nil, err
 			}
 			refineSpan := opt.Tracer.StartSpan(refineName(iter))
+			// Full ILP (branch and bound over flip binaries) on the first
+			// pass; later passes keep the flip assignment and re-optimize
+			// coordinates, which is where refinement pays.
+			var solved [2]*solvedAxis
 			if iter == 0 || opt.NoFlips {
-				// Full ILP (branch and bound over flip binaries) on the
-				// first pass; later passes keep the flip assignment and
-				// re-optimize coordinates, which is where refinement pays.
-				nx, err := integratedAxis(n, axisX, gs, opt, tilde, out)
-				if err != nil {
-					refineSpan.End()
-					return nil, err
+				for _, kind := range []axisKind{axisX, axisY} {
+					sa, err := integratedAxis(n, kind, gs, opt, tilde, out)
+					if err != nil {
+						refineSpan.End()
+						return nil, err
+					}
+					solved[kind] = sa
+					nodes += sa.nodes
 				}
-				ny, err := integratedAxis(n, axisY, gs, opt, tilde, out)
-				if err != nil {
-					refineSpan.End()
-					return nil, err
-				}
-				nodes += nx + ny
 			}
 			if !opt.NoFlips {
 				improveFlips(n, out)
 				// Re-tighten coordinates for the final flip assignment.
-				if err := resolveCoords(n, axisX, gs, opt, tilde, out); err != nil {
-					refineSpan.End()
-					return nil, err
-				}
-				if err := resolveCoords(n, axisY, gs, opt, tilde, out); err != nil {
-					refineSpan.End()
-					return nil, err
+				for _, kind := range []axisKind{axisX, axisY} {
+					if err := resolveCoords(n, kind, gs, opt, tilde, solved[kind], out); err != nil {
+						refineSpan.End()
+						return nil, err
+					}
 				}
 			}
 			score := n.Area(out) + n.HPWL(out)
@@ -224,41 +221,55 @@ func refineName(iter int) string {
 	return "refine-" + strconv.Itoa(iter)
 }
 
-// integratedAxis solves one axis of the integrated ILP: LP warm start with
-// flips at zero, branch and bound over the flip binaries, best solution
-// extracted into out.
-func integratedAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
-	opt Options, tilde float64, out *circuit.Placement) (int, error) {
-
-	spec := modelSpec{
+// integratedSpec is the Eq. 4 model of one axis: net spans, flips (unless
+// disabled), and the extent weighted by μ·W̃/2.
+func integratedSpec(opt Options, tilde float64) modelSpec {
+	return modelSpec{
 		withNets:   true,
 		withFlips:  !opt.NoFlips,
 		withExtent: true,
 		extentObj:  opt.Mu * tilde / 2,
 	}
-	m := buildAxisModel(n, kind, gs, spec)
+}
 
+// solvedAxis is one axis's integrated model with its final optimal basis,
+// so the pass's flip-fixed re-solve of the same rows starts from it.
+type solvedAxis struct {
+	m     *axisModel
+	basis *lp.Solution
+	nodes int
+}
+
+// integratedAxis solves one axis of the integrated ILP: LP warm start with
+// the default flips fixed, branch and bound over the flip binaries from
+// that start's basis, best solution extracted into out. Solver failures
+// are returned wrapped with the axis and stage; a node-capped search keeps
+// its best point and is counted as dp.ilp_node_cap.
+func integratedAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
+	opt Options, tilde float64, out *circuit.Placement) (*solvedAxis, error) {
+
+	m := buildAxisModel(n, kind, gs, integratedSpec(opt, tilde))
 	if opt.NoFlips {
 		sol, err := lp.SolveTraced(m.prob, opt.Tracer, "integrated-"+axisName(kind))
 		if err != nil {
-			return 0, err
+			return nil, m.solverErr("integrated", err)
 		}
 		if sol.Status != lp.Optimal {
-			return 0, m.infeasErr("integrated")
+			return nil, m.infeasErr("integrated")
 		}
 		m.extract(sol.X, n, out)
-		return 0, nil
+		return &solvedAxis{m: m, basis: sol}, nil
 	}
 
 	// Warm start: default (mirror-consistent) flip assignment.
 	warm, err := lp.SolveTraced(m.withFixedFlips(warmFlips(n, kind)), opt.Tracer, "warm-start-"+axisName(kind))
 	if err != nil {
-		return 0, err
+		return nil, m.solverErr("warm-start", err)
 	}
 	if warm.Status != lp.Optimal {
-		return 0, m.infeasErr("warm-start")
+		return nil, m.infeasErr("warm-start")
 	}
-	isol, err := ilp.Solve(&ilp.Problem{LP: m.prob, Ints: m.flipVar}, ilp.Options{
+	isol, err := ilp.Solve(&ilp.Problem{LP: m.prob, Ints: m.flipVar, Start: warm}, ilp.Options{
 		MaxNodes:     opt.MaxNodes,
 		Incumbent:    warm.X,
 		IncumbentObj: warm.Obj,
@@ -266,33 +277,40 @@ func integratedAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
 		Label:        "integrated-" + axisName(kind),
 	})
 	if err != nil {
-		// Node cap without improvement: fall back to the warm start.
-		m.extract(warm.X, n, out)
-		return 0, nil
+		return nil, m.solverErr("integrated", err)
+	}
+	if isol.Status == ilp.Feasible {
+		opt.Tracer.Count("dp.ilp_node_cap", 1)
 	}
 	m.extract(isol.X, n, out)
-	return isol.Nodes, nil
+	basis := isol.LP
+	if basis == nil {
+		basis = warm // the warm start was never improved on
+	}
+	return &solvedAxis{m: m, basis: basis, nodes: isol.Nodes}, nil
 }
 
 // resolveCoords re-solves one axis as a pure LP with the placement's
-// current flip assignment fixed, updating coordinates in place.
+// current flip assignment fixed, updating coordinates in place. When the
+// pass solved this axis's integrated model (prev non-nil), the re-solve
+// reuses its rows and starts from its final basis.
 func resolveCoords(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
-	opt Options, tilde float64, out *circuit.Placement) error {
+	opt Options, tilde float64, prev *solvedAxis, out *circuit.Placement) error {
 
-	spec := modelSpec{
-		withNets:   true,
-		withFlips:  true,
-		withExtent: true,
-		extentObj:  opt.Mu * tilde / 2,
+	var m *axisModel
+	var from *lp.Solution
+	if prev != nil {
+		m, from = prev.m, prev.basis
+	} else {
+		m = buildAxisModel(n, kind, gs, integratedSpec(opt, tilde))
 	}
-	m := buildAxisModel(n, kind, gs, spec)
 	flips := out.FlipX
 	if kind == axisY {
 		flips = out.FlipY
 	}
-	sol, err := lp.SolveTraced(m.withFixedFlips(flips), opt.Tracer, "flip-fixed-"+axisName(kind))
+	sol, err := lp.Resolve(m.withFixedFlips(flips), from, opt.Tracer, "flip-fixed-"+axisName(kind))
 	if err != nil {
-		return err
+		return m.solverErr("flip-fixed", err)
 	}
 	if sol.Status != lp.Optimal {
 		return m.infeasErr("flip-fixed")
@@ -308,7 +326,7 @@ func twoStageAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs, tr *ob
 	m1 := buildAxisModel(n, kind, gs, modelSpec{withExtent: true, extentObj: 1})
 	s1, err := lp.SolveTraced(m1.prob, tr, "compaction-"+axisName(kind))
 	if err != nil {
-		return err
+		return m1.solverErr("compaction", err)
 	}
 	if s1.Status != lp.Optimal {
 		return m1.infeasErr("compaction")
@@ -323,7 +341,7 @@ func twoStageAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs, tr *ob
 	})
 	s2, err := lp.SolveTraced(m2.prob, tr, "wirelength-"+axisName(kind))
 	if err != nil {
-		return err
+		return m2.solverErr("wirelength", err)
 	}
 	if s2.Status != lp.Optimal {
 		return m2.infeasErr("wirelength")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // testNetlist mirrors the OTA-like circuit used by the global-placement
@@ -76,6 +77,31 @@ func TestIntegratedLegal(t *testing.T) {
 	}
 	if res.Area <= 0 || res.HPWL <= 0 {
 		t.Errorf("degenerate metrics: %+v", res)
+	}
+}
+
+// TestNodeCapCounted caps branch and bound at one node: the integrated
+// stage keeps its incumbent, stays legal, and reports every capped search
+// as dp.ilp_node_cap instead of failing or hiding it.
+func TestNodeCapCounted(t *testing.T) {
+	n := testNetlist()
+	sink := &obs.MemorySink{}
+	tr := obs.New(sink)
+	res, err := Place(n, roughGP(n, 1), Options{Mode: ModeIntegratedILP, MaxNodes: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := n.CheckLegal(res.Placement, 1e-6); !rep.OK() {
+		t.Fatalf("capped DP illegal: %v", rep.Err())
+	}
+	capped := 0
+	for _, e := range sink.ByKind(obs.KindLP) {
+		if e.LP.Solver == "ilp" && e.LP.Label != "incumbent" && e.LP.Status == "feasible" {
+			capped++
+		}
+	}
+	if got := tr.Summary().Counters["dp.ilp_node_cap"]; capped == 0 || got != float64(capped) {
+		t.Errorf("dp.ilp_node_cap = %v, want the %d node-capped ILP runs", got, capped)
 	}
 }
 

@@ -2,6 +2,7 @@ package detailed
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/lp"
@@ -135,9 +136,10 @@ func buildAxisModel(n *circuit.Netlist, kind axisKind, gs constraintGraphs, spec
 		}
 	}
 
-	// Boundary rows (4c): coord ≥ dim/2 and coord + dim/2 ≤ extent.
+	// Boundary (4c): the bound coord ≥ dim/2 and the row
+	// coord + dim/2 ≤ extent.
 	for i := 0; i < nd; i++ {
-		p.AddConstraint([]lp.Term{{Var: m.coordVar[i], Coeff: 1}}, lp.GE, dim(i)/2)
+		p.SetBounds(m.coordVar[i], dim(i)/2, math.Inf(1))
 		if spec.withExtent {
 			p.AddConstraint([]lp.Term{
 				{Var: m.coordVar[i], Coeff: 1}, {Var: m.extentVar, Coeff: -1},
@@ -145,7 +147,7 @@ func buildAxisModel(n *circuit.Netlist, kind axisKind, gs constraintGraphs, spec
 		}
 	}
 	if spec.extentCap > 0 {
-		p.AddConstraint([]lp.Term{{Var: m.extentVar, Coeff: 1}}, lp.LE, spec.extentCap)
+		p.SetBounds(m.extentVar, 0, spec.extentCap)
 	}
 
 	// Separation edges (4e / 4i): from.right ≤ to.left.
@@ -200,12 +202,13 @@ func buildAxisModel(n *circuit.Netlist, kind axisKind, gs constraintGraphs, spec
 		}
 	}
 
-	// Flip binaries bounded by 1 (integrality handled by branch & bound).
-	// Symmetric pairs flip as mirror images: complementary horizontally,
-	// identical vertically, so the matched layout stays a true reflection.
+	// Flip binaries bounded to [0, 1] (integrality handled by branch &
+	// bound). Symmetric pairs flip as mirror images: complementary
+	// horizontally, identical vertically, so the matched layout stays a
+	// true reflection.
 	if spec.withFlips {
 		for i := 0; i < nd; i++ {
-			p.AddConstraint([]lp.Term{{Var: m.flipVar[i], Coeff: 1}}, lp.LE, 1)
+			p.SetBounds(m.flipVar[i], 0, 1)
 		}
 		for gi := range n.SymGroups {
 			for _, pr := range n.SymGroups[gi].Pairs {
@@ -240,15 +243,16 @@ func warmFlips(n *circuit.Netlist, kind axisKind) []bool {
 }
 
 // withFixedFlips returns a clone of the model's LP with every flip binary
-// pinned to the given values.
+// pinned to the given values. It keeps the model's rows, so it re-solves
+// from (and warm-starts) the model's own bases.
 func (m *axisModel) withFixedFlips(vals []bool) *lp.Problem {
 	q := m.prob.Clone()
 	for i, v := range m.flipVar {
-		rhs := 0.0
-		if vals != nil && vals[i] {
-			rhs = 1
+		f := 0.0
+		if vals[i] {
+			f = 1
 		}
-		q.AddConstraint([]lp.Term{{Var: v, Coeff: 1}}, lp.EQ, rhs)
+		q.SetBounds(v, f, f)
 	}
 	return q
 }
@@ -289,4 +293,9 @@ func (m *axisModel) name() string {
 // infeasErr formats an infeasibility error for one axis.
 func (m *axisModel) infeasErr(stage string) error {
 	return fmt.Errorf("detailed: %s-axis %s LP infeasible", m.name(), stage)
+}
+
+// solverErr wraps a solver failure with the axis and stage it hit.
+func (m *axisModel) solverErr(stage string, err error) error {
+	return fmt.Errorf("detailed: %s-axis %s solve: %w", m.name(), stage, err)
 }

@@ -2,6 +2,7 @@ package detailed
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/circuit"
@@ -60,7 +61,8 @@ func (ws *WindowSolver) Rederive(p *circuit.Placement) {
 // the bounding box and passes the full legality check. p is mutated only
 // on acceptance. Returns whether p improved and the branch-and-bound nodes
 // spent. Solver failures on a window are not errors — the window is simply
-// left unchanged — so the only error is context cancellation.
+// left unchanged and counted as refine.solver_failures — so the only error
+// is context cancellation.
 func (ws *WindowSolver) Improve(ctx context.Context, p *circuit.Placement, window []int) (bool, int, error) {
 	free := make(map[int]bool, len(window))
 	for _, i := range window {
@@ -97,7 +99,13 @@ func (ws *WindowSolver) solveAxis(kind axisKind, p *circuit.Placement, free map[
 		Tracer:       ws.opt.Tracer,
 		Label:        label,
 	})
-	if err != nil || sol.X == nil {
+	if err != nil {
+		// A failed window is skipped, not fatal: the placement is
+		// unchanged, and the failure is counted so it cannot go unseen.
+		ws.opt.Tracer.Count("refine.solver_failures", 1)
+		return 0, false
+	}
+	if sol.X == nil {
 		return 0, false
 	}
 	cand := p.Clone()
@@ -234,6 +242,14 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 	}
 	prob := lp.NewProblem(next)
 	m.prob = prob
+	// Single-variable constraints become bounds, intersected as they
+	// accumulate (a window device may be pinned by several fixed partners).
+	tighten := func(v int, lo, hi float64) {
+		l, h := prob.Bounds(v)
+		prob.SetBounds(v, math.Max(l, lo), math.Min(h, hi))
+	}
+	inf := math.Inf(1)
+	fix := func(v int, val float64) { tighten(v, val, val) }
 	m.incumbent = make([]float64, next)
 	for _, i := range freeList {
 		m.incumbent[m.coordVar[i]] = coord(i)
@@ -296,15 +312,15 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 			}
 		}
 		if haveFixed {
-			prob.AddConstraint([]lp.Term{{Var: loVar[e], Coeff: 1}}, lp.LE, cmin)
-			prob.AddConstraint([]lp.Term{{Var: hiVar[e], Coeff: 1}}, lp.GE, cmax)
+			tighten(loVar[e], 0, cmin)
+			tighten(hiVar[e], cmax, inf)
 		}
 		m.incumbent[loVar[e]] = incLo
 		m.incumbent[hiVar[e]] = incHi
 		m.incObj += w * (incHi - incLo)
 	}
 
-	// Boundary rows: stay inside [0, current extent] on this axis.
+	// Boundary: stay inside [0, current extent] on this axis.
 	extent := 0.0
 	for i := range n.Devices {
 		if top := coord(i) + dim(i)/2; top > extent {
@@ -312,8 +328,7 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 		}
 	}
 	for _, i := range freeList {
-		prob.AddConstraint([]lp.Term{{Var: m.coordVar[i], Coeff: 1}}, lp.GE, dim(i)/2)
-		prob.AddConstraint([]lp.Term{{Var: m.coordVar[i], Coeff: 1}}, lp.LE, extent-dim(i)/2)
+		tighten(m.coordVar[i], dim(i)/2, extent-dim(i)/2)
 	}
 
 	// Separation edges with at least one free endpoint.
@@ -329,9 +344,9 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 				{Var: m.coordVar[e.from], Coeff: 1}, {Var: m.coordVar[e.to], Coeff: -1},
 			}, lp.LE, -sep)
 		case free[e.from]:
-			prob.AddConstraint([]lp.Term{{Var: m.coordVar[e.from], Coeff: 1}}, lp.LE, coord(e.to)-sep)
+			tighten(m.coordVar[e.from], -inf, coord(e.to)-sep)
 		case free[e.to]:
-			prob.AddConstraint([]lp.Term{{Var: m.coordVar[e.to], Coeff: 1}}, lp.GE, coord(e.from)+sep)
+			tighten(m.coordVar[e.to], coord(e.from)+sep, inf)
 		}
 	}
 
@@ -363,14 +378,14 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 						{Var: m.coordVar[q1], Coeff: 1}, {Var: m.coordVar[q2], Coeff: 1},
 					}, lp.EQ, 2*a)
 				case free[q1]:
-					prob.AddConstraint([]lp.Term{{Var: m.coordVar[q1], Coeff: 1}}, lp.EQ, 2*a-coord(q2))
+					fix(m.coordVar[q1], 2*a-coord(q2))
 				case free[q2]:
-					prob.AddConstraint([]lp.Term{{Var: m.coordVar[q2], Coeff: 1}}, lp.EQ, 2*a-coord(q1))
+					fix(m.coordVar[q2], 2*a-coord(q1))
 				}
 			}
 			for _, r := range g.Self {
 				if free[r] {
-					prob.AddConstraint([]lp.Term{{Var: m.coordVar[r], Coeff: 1}}, lp.EQ, a)
+					fix(m.coordVar[r], a)
 				}
 			}
 		} else {
@@ -382,9 +397,9 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 						{Var: m.coordVar[q1], Coeff: 1}, {Var: m.coordVar[q2], Coeff: -1},
 					}, lp.EQ, 0)
 				case free[q1]:
-					prob.AddConstraint([]lp.Term{{Var: m.coordVar[q1], Coeff: 1}}, lp.EQ, coord(q2))
+					fix(m.coordVar[q1], coord(q2))
 				case free[q2]:
-					prob.AddConstraint([]lp.Term{{Var: m.coordVar[q2], Coeff: 1}}, lp.EQ, coord(q1))
+					fix(m.coordVar[q2], coord(q1))
 				}
 			}
 		}
@@ -401,9 +416,9 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 					{Var: m.coordVar[b1], Coeff: 1}, {Var: m.coordVar[b2], Coeff: -1},
 				}, lp.EQ, rhs)
 			case free[b1]:
-				prob.AddConstraint([]lp.Term{{Var: m.coordVar[b1], Coeff: 1}}, lp.EQ, coord(b2)+rhs)
+				fix(m.coordVar[b1], coord(b2)+rhs)
 			case free[b2]:
-				prob.AddConstraint([]lp.Term{{Var: m.coordVar[b2], Coeff: 1}}, lp.EQ, coord(b1)-rhs)
+				fix(m.coordVar[b2], coord(b1)-rhs)
 			}
 		}
 	} else {
@@ -415,17 +430,17 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 					{Var: m.coordVar[v1], Coeff: 1}, {Var: m.coordVar[v2], Coeff: -1},
 				}, lp.EQ, 0)
 			case free[v1]:
-				prob.AddConstraint([]lp.Term{{Var: m.coordVar[v1], Coeff: 1}}, lp.EQ, coord(v2))
+				fix(m.coordVar[v1], coord(v2))
 			case free[v2]:
-				prob.AddConstraint([]lp.Term{{Var: m.coordVar[v2], Coeff: 1}}, lp.EQ, coord(v1))
+				fix(m.coordVar[v2], coord(v1))
 			}
 		}
 	}
 
-	// Flip binaries: bounded by 1, mirror-paired as in the full model
+	// Flip binaries: bounded to [0, 1], mirror-paired as in the full model
 	// (complementary horizontally, identical vertically).
 	for _, i := range freeList {
-		prob.AddConstraint([]lp.Term{{Var: m.flipVar[i], Coeff: 1}}, lp.LE, 1)
+		tighten(m.flipVar[i], 0, 1)
 	}
 	for gi := range n.SymGroups {
 		for _, pr := range n.SymGroups[gi].Pairs {
@@ -437,9 +452,9 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 						{Var: m.flipVar[q1], Coeff: 1}, {Var: m.flipVar[q2], Coeff: 1},
 					}, lp.EQ, 1)
 				case free[q1]:
-					prob.AddConstraint([]lp.Term{{Var: m.flipVar[q1], Coeff: 1}}, lp.EQ, 1-flipOf(q2))
+					fix(m.flipVar[q1], 1-flipOf(q2))
 				case free[q2]:
-					prob.AddConstraint([]lp.Term{{Var: m.flipVar[q2], Coeff: 1}}, lp.EQ, 1-flipOf(q1))
+					fix(m.flipVar[q2], 1-flipOf(q1))
 				}
 			} else {
 				switch {
@@ -448,9 +463,9 @@ func (ws *WindowSolver) buildWindowModel(kind axisKind, p *circuit.Placement, fr
 						{Var: m.flipVar[q1], Coeff: 1}, {Var: m.flipVar[q2], Coeff: -1},
 					}, lp.EQ, 0)
 				case free[q1]:
-					prob.AddConstraint([]lp.Term{{Var: m.flipVar[q1], Coeff: 1}}, lp.EQ, flipOf(q2))
+					fix(m.flipVar[q1], flipOf(q2))
 				case free[q2]:
-					prob.AddConstraint([]lp.Term{{Var: m.flipVar[q2], Coeff: 1}}, lp.EQ, flipOf(q1))
+					fix(m.flipVar[q2], flipOf(q1))
 				}
 			}
 		}

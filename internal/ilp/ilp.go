@@ -3,6 +3,11 @@
 // formulation (Eq. 4a–4j), where the integer variables are the binary
 // device-flipping decisions; analog problem sizes keep the tree small, and
 // a node cap bounds worst-case runtime the way practical ILP time limits do.
+//
+// Branching tightens a variable bound: each child is a clone of its
+// parent's LP with one bound moved, re-optimized from the parent's optimal
+// basis by the dual simplex, so a node costs a few pivots rather than a
+// from-scratch solve.
 package ilp
 
 import (
@@ -17,6 +22,11 @@ import (
 type Problem struct {
 	LP   *lp.Problem
 	Ints []int // variable indices that must take integer values
+
+	// Start optionally warm-starts the root relaxation: an optimal
+	// solution of LP's rows under other bounds (e.g. with the integer
+	// variables fixed), whose basis the root re-optimizes from.
+	Start *lp.Solution
 }
 
 // Options tunes the branch-and-bound search.
@@ -31,9 +41,10 @@ type Options struct {
 	IncumbentObj float64
 
 	// Tracer, when non-nil, emits one "ilp" event per run (root problem
-	// size, branch-and-bound nodes, best objective, status) plus one
-	// "incumbent"-labeled event per improving integer-feasible point, and
-	// bumps the ilp.solves/ilp.nodes counters.
+	// size, branch-and-bound nodes, simplex pivots over all nodes, best
+	// objective, status) plus one "incumbent"-labeled event per improving
+	// integer-feasible point, and bumps the ilp.solves/ilp.nodes/ilp.pivots
+	// counters.
 	Tracer *obs.Tracer
 	// Label tags the run's telemetry events with the caller's purpose.
 	Label string
@@ -71,42 +82,43 @@ type Solution struct {
 	X      []float64
 	Obj    float64
 	Nodes  int // LP nodes solved
+	Pivots int // simplex iterations over all node LPs
+
+	// LP is the optimal relaxation of the node that produced X: a warm
+	// start for re-solving the same rows under other bounds. Nil when X is
+	// the seeded incumbent.
+	LP *lp.Solution
 }
 
 // ErrNoSolution is returned when the node cap is exhausted before any
 // integer-feasible point is found.
 var ErrNoSolution = errors.New("ilp: node limit reached without a feasible solution")
 
-// node is a set of branching bounds on integer variables.
-type node struct {
-	lb map[int]float64
-	ub map[int]float64
-}
+// observe, when non-nil, sees every run with its result; the package's
+// tests set it to replay the models callers build against a reference.
+var observe func(p *Problem, opt Options, sol *Solution, err error)
 
-func (nd *node) child(j int, lb, ub float64, isLB bool) *node {
-	c := &node{lb: make(map[int]float64, len(nd.lb)+1), ub: make(map[int]float64, len(nd.ub)+1)}
-	for k, v := range nd.lb {
-		c.lb[k] = v
-	}
-	for k, v := range nd.ub {
-		c.ub[k] = v
-	}
-	if isLB {
-		if old, ok := c.lb[j]; !ok || lb > old {
-			c.lb[j] = lb
-		}
-	} else {
-		if old, ok := c.ub[j]; !ok || ub < old {
-			c.ub[j] = ub
-		}
-	}
-	return c
+// node is a pending subproblem: its parent's relaxation with variable j
+// restricted to [lo, hi].
+type node struct {
+	parent *lp.Problem
+	from   *lp.Solution // the parent's optimum, warm start for the child
+	j      int
+	lo, hi float64
 }
 
 // Solve runs depth-first branch and bound. A non-nil error indicates an LP
 // solver failure or an exhausted node cap with no feasible point; Status
 // distinguishes proven optima from cap-limited bests.
 func Solve(p *Problem, opt Options) (*Solution, error) {
+	sol, err := solve(p, opt)
+	if observe != nil {
+		observe(p, opt, sol, err)
+	}
+	return sol, err
+}
+
+func solve(p *Problem, opt Options) (*Solution, error) {
 	if opt.MaxNodes == 0 {
 		opt.MaxNodes = 2000
 	}
@@ -115,15 +127,16 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	}
 	bestObj := math.Inf(1)
 	var bestX []float64
+	var bestLP *lp.Solution
 	if opt.Incumbent != nil {
 		bestObj = opt.IncumbentObj
 		bestX = append([]float64(nil), opt.Incumbent...)
 	}
 
-	stack := []*node{{lb: map[int]float64{}, ub: map[int]float64{}}}
-	nodes := 0
+	nodes, pivots := 0, 0
 	capped := false
-
+	// The root is the one node without a branching bound (j < 0).
+	stack := []node{{parent: p.LP, from: p.Start, j: -1}}
 	for len(stack) > 0 {
 		if nodes >= opt.MaxNodes {
 			capped = true
@@ -133,14 +146,15 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		stack = stack[:len(stack)-1]
 		nodes++
 
-		sub := p.LP.Clone()
-		for j, v := range nd.lb {
-			sub.AddConstraint([]lp.Term{{Var: j, Coeff: 1}}, lp.GE, v)
+		sub := nd.parent
+		if nd.j >= 0 {
+			sub = nd.parent.Clone()
+			sub.SetBounds(nd.j, nd.lo, nd.hi)
 		}
-		for j, v := range nd.ub {
-			sub.AddConstraint([]lp.Term{{Var: j, Coeff: 1}}, lp.LE, v)
+		sol, err := lp.Resolve(sub, nd.from, nil, "")
+		if sol != nil {
+			pivots += sol.Pivots
 		}
-		sol, err := lp.Solve(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -163,8 +177,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		}
 		if branchVar < 0 {
 			// Integer feasible: new incumbent.
-			bestObj = sol.Obj
-			bestX = append([]float64(nil), sol.X...)
+			bestObj, bestX, bestLP = sol.Obj, sol.X, sol
 			if opt.Tracer != nil {
 				opt.Tracer.LPEvent(obs.LPRecord{
 					Solver: "ilp", Label: "incumbent",
@@ -175,8 +188,9 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			continue
 		}
 		v := sol.X[branchVar]
-		down := nd.child(branchVar, 0, math.Floor(v), false)
-		up := nd.child(branchVar, math.Ceil(v), 0, true)
+		lo, hi := sub.Bounds(branchVar)
+		down := node{parent: sub, from: sol, j: branchVar, lo: lo, hi: math.Floor(v)}
+		up := node{parent: sub, from: sol, j: branchVar, lo: math.Ceil(v), hi: hi}
 		// Dive toward the nearer integer first (pushed last = popped first).
 		if v-math.Floor(v) < 0.5 {
 			stack = append(stack, up, down)
@@ -185,31 +199,26 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		}
 	}
 
-	emit := func(s *Solution) {
-		if opt.Tracer == nil {
-			return
+	s := &Solution{Status: Optimal, X: bestX, Obj: bestObj, Nodes: nodes, Pivots: pivots, LP: bestLP}
+	var err error
+	switch {
+	case bestX == nil:
+		s = &Solution{Status: Infeasible, Nodes: nodes, Pivots: pivots}
+		if capped {
+			err = ErrNoSolution
 		}
+	case capped:
+		s.Status = Feasible
+	}
+	if opt.Tracer != nil {
 		opt.Tracer.LPEvent(obs.LPRecord{
 			Solver: "ilp", Label: opt.Label,
 			Rows: p.LP.NumRows(), Cols: p.LP.NumVars(),
-			Nodes: s.Nodes, Obj: s.Obj, Status: s.Status.String(),
+			Pivots: s.Pivots, Nodes: s.Nodes, Obj: s.Obj, Status: s.Status.String(),
 		})
 		opt.Tracer.Count("ilp.solves", 1)
 		opt.Tracer.Count("ilp.nodes", float64(s.Nodes))
+		opt.Tracer.Count("ilp.pivots", float64(s.Pivots))
 	}
-	if bestX == nil {
-		s := &Solution{Status: Infeasible, Nodes: nodes}
-		emit(s)
-		if capped {
-			return s, ErrNoSolution
-		}
-		return s, nil
-	}
-	st := Optimal
-	if capped {
-		st = Feasible
-	}
-	s := &Solution{Status: st, X: bestX, Obj: bestObj, Nodes: nodes}
-	emit(s)
-	return s, nil
+	return s, err
 }

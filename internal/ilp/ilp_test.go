@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/obs"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -186,6 +187,88 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		if sol.Status != Optimal || math.Abs(sol.Obj-best) > 1e-6 {
 			t.Errorf("trial %d: B&B obj %g (status %v), brute force %g", trial, sol.Obj, sol.Status, best)
 		}
+	}
+}
+
+// knapsack builds the TestKnapsack model with binaries bounded to [0, 1].
+func knapsack() (*lp.Problem, []int) {
+	p := lp.NewProblem(4)
+	var cap []lp.Term
+	for j, v := range []float64{8, 11, 6, 4} {
+		p.SetObj(j, -v)
+		p.SetBounds(j, 0, 1)
+		cap = append(cap, lp.Term{Var: j, Coeff: []float64{5, 7, 4, 3}[j]})
+	}
+	p.AddConstraint(cap, lp.LE, 14)
+	return p, []int{0, 1, 2, 3}
+}
+
+// TestStartWarmStartsRoot seeds the root with the optimum of the same rows
+// under fixed integers (as detailed placement does with its flip-fixed
+// warm start): the result must not change, and the returned LP solution
+// must be the best node's, reusable as a warm start itself.
+func TestStartWarmStartsRoot(t *testing.T) {
+	p, ints := knapsack()
+	cold, err := Solve(&Problem{LP: p, Ints: ints}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := p.Clone()
+	for _, j := range ints {
+		fixed.SetBounds(j, 0, 0)
+	}
+	start, err := lp.Solve(fixed)
+	if err != nil || start.Status != lp.Optimal {
+		t.Fatalf("fixed LP: %v %v", start, err)
+	}
+	warm, err := Solve(&Problem{LP: p, Ints: ints, Start: start}, Options{
+		Incumbent: start.X, IncumbentObj: start.Obj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || math.Abs(warm.Obj-cold.Obj) > 1e-9 {
+		t.Fatalf("warm-started ILP: %v obj %g, cold %v obj %g", warm.Status, warm.Obj, cold.Status, cold.Obj)
+	}
+	if warm.LP == nil || math.Abs(warm.LP.Obj-warm.Obj) > 1e-9 {
+		t.Fatalf("LP = %+v, want the best node's relaxation", warm.LP)
+	}
+	// The relaxation re-solved from the ILP's basis bounds the ILP optimum.
+	again, err := lp.Resolve(p.Clone(), warm.LP, nil, "")
+	if err != nil || again.Status != lp.Optimal || again.Obj > cold.Obj+1e-9 {
+		t.Fatalf("re-solve from the ILP's basis: %+v %v", again, err)
+	}
+}
+
+// TestTracerReportsPivots checks branch and bound reports the simplex work
+// of all its nodes in its event and the ilp.pivots counter, next to the
+// unchanged ilp.solves/ilp.nodes counters.
+func TestTracerReportsPivots(t *testing.T) {
+	p, ints := knapsack()
+	sink := &obs.MemorySink{}
+	tr := obs.New(sink)
+	sol, err := Solve(&Problem{LP: p, Ints: ints}, Options{Tracer: tr, Label: "knapsack"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Pivots <= 0 || sol.Nodes <= 1 {
+		t.Fatalf("pivots %d over %d nodes: want a branching search", sol.Pivots, sol.Nodes)
+	}
+	var ev *obs.LPRecord
+	for _, e := range sink.ByKind(obs.KindLP) {
+		if e.LP.Label == "knapsack" {
+			ev = e.LP
+		}
+	}
+	if ev == nil || ev.Pivots != sol.Pivots || ev.Nodes != sol.Nodes {
+		t.Fatalf("ilp event %+v, want pivots %d nodes %d", ev, sol.Pivots, sol.Nodes)
+	}
+	c := tr.Summary().Counters
+	if c["ilp.pivots"] != float64(sol.Pivots) || c["ilp.nodes"] != float64(sol.Nodes) || c["ilp.solves"] != 1 {
+		t.Errorf("counters %v, want ilp.pivots=%d ilp.nodes=%d ilp.solves=1", c, sol.Pivots, sol.Nodes)
+	}
+	if c["lp.solves"] != 0 {
+		t.Errorf("node LPs counted as lp.solves (%v); they belong to ilp.pivots", c["lp.solves"])
 	}
 }
 

@@ -1,0 +1,5 @@
+//go:build !race
+
+package ilp_test
+
+const raceEnabled = false

@@ -280,6 +280,120 @@ func TestRandomFeasibilityAndOptimality(t *testing.T) {
 	}
 }
 
+func TestNativeBounds(t *testing.T) {
+	// max x + y with x ∈ [1, 2], y ∈ [-3, 0.5], x + y ≤ 2.25.
+	p := NewProblem(2)
+	p.SetObj(0, -1)
+	p.SetObj(1, -1)
+	p.SetBounds(0, 1, 2)
+	p.SetBounds(1, -3, 0.5)
+	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 2.25)
+	s := solveOK(t, p)
+	if math.Abs(s.Obj+2.25) > 1e-9 {
+		t.Errorf("obj = %g, want -2.25 (x=%v)", s.Obj, s.X)
+	}
+	if s.X[0] < 1-1e-9 || s.X[0] > 2+1e-9 || s.X[1] < -3-1e-9 || s.X[1] > 0.5+1e-9 {
+		t.Errorf("x = %v outside its bounds", s.X)
+	}
+}
+
+func TestFreeAndUpperOnlyVariables(t *testing.T) {
+	// min x − y, x free with x ≥ y − 4 (row), y ≤ 3 (bound only).
+	p := NewProblem(2)
+	p.SetObj(0, 1)
+	p.SetObj(1, -1)
+	p.SetBounds(0, math.Inf(-1), math.Inf(1))
+	p.SetBounds(1, math.Inf(-1), 3)
+	p.AddConstraint([]Term{{0, 1}, {1, -1}}, GE, -4)
+	s := solveOK(t, p)
+	if math.Abs(s.Obj+4) > 1e-9 {
+		t.Errorf("obj = %g, want -4 (x=%v)", s.Obj, s.X)
+	}
+}
+
+func TestCrossedBoundsInfeasible(t *testing.T) {
+	p := NewProblem(1)
+	p.SetBounds(0, 2, 1)
+	s, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Infeasible {
+		t.Errorf("status = %v, want infeasible", s.Status)
+	}
+}
+
+// TestResolveMatchesColdSolve tightens bounds the way branch and bound
+// does and checks the warm re-solve from the parent's basis lands on the
+// cold solve's objective in a few pivots, leaving the parent untouched.
+func TestResolveMatchesColdSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		n, m := 3+rng.Intn(5), 2+rng.Intn(6)
+		p := NewProblem(n)
+		for j := 0; j < n; j++ {
+			p.SetObj(j, -rng.Float64())
+			p.SetBounds(j, 0, 1+float64(rng.Intn(4)))
+		}
+		for i := 0; i < m; i++ {
+			var terms []Term
+			for j := 0; j < n; j++ {
+				terms = append(terms, Term{j, float64(rng.Intn(5))})
+			}
+			p.AddConstraint(terms, LE, 2+float64(rng.Intn(8)))
+		}
+		parent := solveOK(t, p)
+		parentX := append([]float64(nil), parent.X...)
+		for j := 0; j < n; j++ {
+			q := p.Clone()
+			lo, hi := q.Bounds(j)
+			if v := parent.X[j]; v > lo+0.5 {
+				q.SetBounds(j, lo, math.Floor(v-0.25))
+			} else {
+				q.SetBounds(j, math.Ceil(v+0.25), hi)
+			}
+			warm, err := Resolve(q, parent, nil, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Solve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Status != cold.Status {
+				t.Fatalf("trial %d var %d: warm %v, cold %v", trial, j, warm.Status, cold.Status)
+			}
+			if warm.Status == Optimal && math.Abs(warm.Obj-cold.Obj) > 1e-9 {
+				t.Errorf("trial %d var %d: warm obj %g, cold %g", trial, j, warm.Obj, cold.Obj)
+			}
+			if warm.Pivots > n+m {
+				t.Errorf("trial %d var %d: warm re-solve took %d pivots", trial, j, warm.Pivots)
+			}
+		}
+		for j := range parentX {
+			if parent.X[j] != parentX[j] {
+				t.Fatalf("trial %d: Resolve mutated the parent solution", trial)
+			}
+		}
+		if again := solveOK(t, p); math.Abs(again.Obj-parent.Obj) > 1e-12 {
+			t.Fatalf("trial %d: re-solving the parent changed its objective", trial)
+		}
+	}
+}
+
+func TestResolveShapeMismatchPanics(t *testing.T) {
+	p := NewProblem(2)
+	p.AddConstraint([]Term{{0, 1}}, LE, 1)
+	s := solveOK(t, p)
+	q := NewProblem(3)
+	defer func() {
+		if recover() == nil {
+			t.Error("Resolve accepted a basis of another shape")
+		}
+	}()
+	Resolve(q, s, nil, "")
+}
+
 func BenchmarkSolveMedium(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n, m := 60, 80

@@ -95,7 +95,7 @@ type LPRecord struct {
 	Label  string `json:"label,omitempty"` // caller-assigned purpose, e.g. "compaction"
 	Rows   int    `json:"rows"`
 	Cols   int    `json:"cols"`
-	Pivots int    `json:"pivots,omitempty"` // simplex pivots (LP)
+	Pivots int    `json:"pivots,omitempty"` // simplex pivots (ILP: over all nodes)
 	Nodes  int    `json:"nodes,omitempty"`  // branch-and-bound nodes (ILP)
 
 	Obj    float64 `json:"obj"`
