@@ -4,7 +4,9 @@
 //	experiments [flags] [table1 fig2 table3 table4 fig5 table5 table6 table7 fig6 ablations refine routed | all]
 //
 // Each selected experiment prints its results in a layout mirroring the
-// paper's table so the reproduction can be compared side by side.
+// paper's table so the reproduction can be compared side by side. Size
+// sweeps on generated circuits beyond the paper's benchmarks are
+// cmd/bench's job (-suite quick|std).
 package main
 
 import (
@@ -174,20 +176,6 @@ func main() {
 		fmt.Print(experiments.FormatRouted(rows))
 		return nil
 	})
-	// "scaling" is not part of "all": it sweeps generated circuits beyond
-	// the paper's benchmark sizes, and the std suite at full budgets runs
-	// far longer than the paper tables. Select it explicitly.
-	if want["scaling"] {
-		ranAny = true
-		start := time.Now()
-		rows, err := experiments.Scaling(cfg)
-		if err != nil {
-			log.Fatalf("scaling: %v", err)
-		}
-		fmt.Print(experiments.FormatScaling(rows))
-		fmt.Printf("[scaling completed in %.1fs]\n\n", time.Since(start).Seconds())
-	}
-
 	// The performance-driven experiments share trained GNN models.
 	needPerf := all || want["table5"] || want["table6"] || want["table7"] || want["fig6"]
 	var models *experiments.Models
@@ -241,7 +229,8 @@ func main() {
 	finish()
 	if !ranAny {
 		fmt.Fprintf(os.Stderr, "unknown experiment selection %v\n", sel)
-		fmt.Fprintf(os.Stderr, "available: table1 fig2 table3 table4 fig5 ablations routed table5 table6 table7 fig6 all, plus scaling (explicit only)\n")
+		fmt.Fprintf(os.Stderr, "available: table1 fig2 table3 table4 fig5 ablations refine routed table5 table6 table7 fig6 all\n")
+		fmt.Fprintf(os.Stderr, "size sweeps on generated circuits: go run ./cmd/bench -suite quick|std -seed 7 -reps 1\n")
 		os.Exit(2)
 	}
 }

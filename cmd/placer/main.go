@@ -45,7 +45,7 @@ func main() {
 		svgPath = flag.String("svg", "", "additionally render the placement to this SVG file")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit), e.g. 30s or 5m")
 
-		chains    = flag.Int("chains", 0, "SA portfolio width: independent chains run in parallel, best kept (0 = the annealer's restart count; results are thread-count invariant)")
+		chains    = flag.Int("chains", 0, "SA portfolio width: independent chains run in parallel, best kept (0 = 2 chains cold, 1 warm; results are thread-count invariant)")
 		refine    = flag.Bool("refine", false, "append the ILP large-neighborhood refinement stage (never worsens HPWL or area)")
 		refineWin = flag.Int("refine-windows", 0, "refinement window budget (0 = about two sweeps); implies nothing unless -refine is set")
 

@@ -10,7 +10,8 @@
 //	trace check run.jsonl [more.jsonl ...]
 //
 // `diff` exits non-zero when the new trace regresses beyond the
-// tolerances (final HPWL, wall time, or any stage's self time); `check`
+// tolerances (final HPWL, the placement's place.hpwl_um gauge, wall time,
+// or any stage's self time); `check`
 // exits non-zero on any malformed trace. Both are CI gates.
 package main
 
@@ -106,8 +107,8 @@ func printReport(w io.Writer, rep *analyze.Report) {
 		fmt.Fprintln(w)
 	}
 	if rep.SA != nil {
-		fmt.Fprintf(w, "  sa: %d samples over %d restart(s), accept %.2f -> %.2f, best cost %.6g\n",
-			rep.SA.Samples, rep.SA.Restarts, rep.SA.FirstAccept, rep.SA.LastAccept, rep.SA.BestCost)
+		fmt.Fprintf(w, "  sa: %d samples over %d chain(s), accept %.2f -> %.2f, best cost %.6g\n",
+			rep.SA.Samples, rep.SA.Chains, rep.SA.FirstAccept, rep.SA.LastAccept, rep.SA.BestCost)
 	}
 	if rep.LPSolves > 0 {
 		fmt.Fprintf(w, "  lp/ilp: %d solves, %d branch-and-bound nodes\n", rep.LPSolves, rep.ILPNodes)
@@ -129,7 +130,7 @@ func printReport(w io.Writer, rep *analyze.Report) {
 func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	hpwlTol := fs.Float64("hpwl-tol", 0.02, "allowed relative final-HPWL increase before failing")
+	hpwlTol := fs.Float64("hpwl-tol", 0.02, "allowed relative increase in final HPWL and place.hpwl_um before failing")
 	timeTol := fs.Float64("time-tol", 0.25, "allowed relative wall/stage-time increase before failing")
 	asJSON := fs.Bool("json", false, "emit the diff as JSON")
 	if fs.Parse(args) != nil || fs.NArg() != 2 {

@@ -52,9 +52,10 @@ func main() {
 	report("ePlace-AP (perf-driven)", perf)
 
 	saPerf, err := core.Place(n, core.MethodSA, core.Options{
-		Seed: 11,
-		Perf: &core.PerfTerm{Model: model},
-		SA:   &anneal.Options{Seed: 11, Moves: 120000, Restarts: 2},
+		Seed:   11,
+		Perf:   &core.PerfTerm{Model: model},
+		SA:     &anneal.Options{Seed: 11, Moves: 120000},
+		Chains: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,8 @@ func main() {
 		res, err := core.Place(n, core.MethodSA, core.Options{
 			Seed:       5,
 			AreaWeight: w,
-			SA:         &anneal.Options{Seed: 5, Moves: 150000, Restarts: 2},
+			SA:         &anneal.Options{Seed: 5, Moves: 150000},
+			Chains:     2,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,11 +1,11 @@
 // Package anneal implements the simulated-annealing analog placer the paper
 // uses as its baseline: a sequence-pair floorplanner over symmetry-island
 // macro blocks (symmetric pairs are fused into mirrored islands, aligned
-// pairs into rigid macros), with flipping moves, an adaptive geometric
-// cooling schedule, and multi-start restarts. The optional performance term
-// turns it into the performance-driven SA of [19]: the GNN's failure
-// probability Φ is added to the cost and evaluated by inference at every
-// accepted candidate.
+// pairs into rigid macros), with flipping moves and an adaptive geometric
+// cooling schedule. One call anneals one chain; package refine runs several
+// as a portfolio. The optional performance term turns it into the
+// performance-driven SA of [19]: the GNN's failure probability Φ is added
+// to the cost and evaluated by inference at every accepted candidate.
 package anneal
 
 import (
@@ -28,9 +28,10 @@ type PerfModel interface {
 
 // Options configures the annealer.
 type Options struct {
-	Seed     int64
-	Moves    int // proposals per restart; 0 = 1500000 + 75000·n
-	Restarts int // independent runs, best kept (default 2)
+	Seed int64
+	// Moves is the proposal budget (default 1500000 + 75000·n). A warm
+	// run (Warm set) makes max(Moves/3, 2000) proposals.
+	Moves int
 
 	AreaWeight float64 // weight of normalized area (default 0.5)
 	WLWeight   float64 // weight of normalized HPWL (default 0.5)
@@ -40,10 +41,10 @@ type Options struct {
 	Perf       PerfModel
 	PerfWeight float64
 
-	// Tracer, when non-nil, wraps the run in an "sa" span (one
-	// "restart-N" sub-span per restart) and emits one progress sample
-	// every TraceEvery proposals: temperature, windowed acceptance rate,
-	// current and best cost. Nil costs one pointer check per move.
+	// Tracer, when non-nil, wraps the run in an "sa" span and emits one
+	// progress sample every TraceEvery proposals: temperature, windowed
+	// acceptance rate, current and best cost. Nil costs one pointer check
+	// per move.
 	Tracer *obs.Tracer
 	// TraceEvery is the sampling cadence in proposals (default Moves/200,
 	// at least 1).
@@ -56,8 +57,9 @@ type Options struct {
 	// displacement cost pulling them toward their prior spots, macros
 	// whose devices are all anchored are frozen internally (sequence-pair
 	// moves still reposition them), and the starting temperature is
-	// reduced so the search polishes rather than re-explores. Nil
-	// reproduces the blessed cold-start behavior exactly.
+	// reduced so the search polishes rather than re-explores, on a third
+	// of the move budget. Nil reproduces the blessed cold-start behavior
+	// exactly.
 	Warm *Warm
 }
 
@@ -88,8 +90,10 @@ func (o *Options) defaults(n int) {
 	if o.Moves == 0 {
 		o.Moves = 1500000 + 75000*n
 	}
-	if o.Restarts == 0 {
-		o.Restarts = 2
+	if o.Warm != nil {
+		// A seeded, low-temperature anneal needs far fewer proposals than
+		// a cold start to polish the edit.
+		o.Moves = max(o.Moves/3, 2000)
 	}
 	if o.AreaWeight == 0 && o.WLWeight == 0 {
 		o.AreaWeight, o.WLWeight = 0.5, 0.5
@@ -479,7 +483,7 @@ func mutate(s *state, rng *rand.Rand, frozen []bool) {
 	}
 }
 
-// Place runs multi-start simulated annealing and returns the best legal
+// Place runs one simulated-annealing chain and returns the best legal
 // placement found.
 func Place(n *circuit.Netlist, opt Options) (*circuit.Placement, *Stats, error) {
 	return PlaceCtx(context.Background(), n, opt)
@@ -511,13 +515,6 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Pl
 	ev := newEvaluator(n, &opt)
 	stats := &Stats{}
 
-	var warmPair *seqpair.Pair
-	var frozen []bool
-	if opt.Warm != nil {
-		warmPair = warmSeqpair(macros, opt.Warm)
-		frozen = frozenMacros(macros, opt.Warm)
-	}
-
 	saSpan := opt.Tracer.StartSpan("sa")
 	defer saSpan.End()
 
@@ -526,85 +523,77 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Pl
 	var bestPlace *circuit.Placement
 	bestCost := math.Inf(1)
 
-	for restart := 0; restart < opt.Restarts; restart++ {
-		select {
-		case <-done:
-			return nil, nil, ctx.Err()
-		default:
-		}
-		restartSpan := opt.Tracer.StartSpan(fmt.Sprintf("restart-%d", restart))
-		var sp0 *seqpair.Pair
-		if warmPair != nil {
-			sp0 = warmPair.Clone()
-		} else {
-			sp0 = seqpair.Random(len(macros), rng)
-		}
-		cur := &state{sp: sp0, macros: macros}
-		cur = cur.clone() // own the macro state
-		curCost := ev.cost(cur)
-		if opt.Warm != nil && curCost < bestCost {
-			// Cold restarts only record accepted moves, which is safe
-			// because a random start is never the optimum; a warm seed very
-			// well may be, so record it before the first proposal.
-			bestCost = curCost
-			ev.realize(cur)
-			bestPlace = ev.place.Clone()
-		}
+	var sp0 *seqpair.Pair
+	var frozen []bool
+	if opt.Warm != nil {
+		sp0 = warmSeqpair(macros, opt.Warm)
+		frozen = frozenMacros(macros, opt.Warm)
+	} else {
+		sp0 = seqpair.Random(len(macros), rng)
+	}
+	cur := &state{sp: sp0, macros: macros}
+	cur = cur.clone() // own the macro state
+	curCost := ev.cost(cur)
+	if opt.Warm != nil {
+		// A cold run only records accepted moves, which is safe because a
+		// random start is never the optimum; a warm seed very well may be,
+		// so record it before the first proposal.
+		bestCost = curCost
+		ev.realize(cur)
+		bestPlace = ev.place.Clone()
+	}
 
-		// Temperature calibration: sample move deltas.
-		var sumAbs float64
-		samples := 50
-		for i := 0; i < samples; i++ {
-			trial := cur.clone()
-			mutate(trial, rng, frozen)
-			sumAbs += math.Abs(ev.cost(trial) - curCost)
-		}
-		t0 := math.Max(sumAbs/float64(samples), 1e-6)
-		if opt.Warm != nil {
-			// Low-temperature treatment: polish the seeded configuration
-			// instead of melting it.
-			t0 = math.Max(t0*0.15, 1e-6)
-		}
-		tf := t0 * 1e-5
-		alpha := math.Pow(tf/t0, 1/float64(opt.Moves))
+	// Temperature calibration: sample move deltas.
+	var sumAbs float64
+	samples := 50
+	for i := 0; i < samples; i++ {
+		trial := cur.clone()
+		mutate(trial, rng, frozen)
+		sumAbs += math.Abs(ev.cost(trial) - curCost)
+	}
+	t0 := math.Max(sumAbs/float64(samples), 1e-6)
+	if opt.Warm != nil {
+		// Low-temperature treatment: polish the seeded configuration
+		// instead of melting it.
+		t0 = math.Max(t0*0.15, 1e-6)
+	}
+	tf := t0 * 1e-5
+	alpha := math.Pow(tf/t0, 1/float64(opt.Moves))
 
-		temp := t0
-		winProposals, winAccepts := 0, 0
-		for move := 0; move < opt.Moves; move++ {
-			if move%cancelCheckEvery == 0 {
-				select {
-				case <-done:
-					restartSpan.End()
-					return nil, nil, ctx.Err()
-				default:
-				}
-			}
-			trial := cur.clone()
-			mutate(trial, rng, frozen)
-			c := ev.cost(trial)
-			stats.Proposals++
-			winProposals++
-			if d := c - curCost; d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				cur, curCost = trial, c
-				stats.Accepts++
-				winAccepts++
-				if curCost < bestCost {
-					bestCost = curCost
-					ev.realize(cur)
-					bestPlace = ev.place.Clone()
-				}
-			}
-			temp *= alpha
-			if opt.Tracer != nil && (move+1)%opt.TraceEvery == 0 {
-				opt.Tracer.SAEvent(obs.SARecord{
-					Restart: restart, Move: move + 1, Temp: temp,
-					AcceptRate: float64(winAccepts) / float64(winProposals),
-					Cur:        curCost, Best: bestCost,
-				})
-				winProposals, winAccepts = 0, 0
+	temp := t0
+	winProposals, winAccepts := 0, 0
+	for move := 0; move < opt.Moves; move++ {
+		if move%cancelCheckEvery == 0 {
+			select {
+			case <-done:
+				return nil, nil, ctx.Err()
+			default:
 			}
 		}
-		restartSpan.End()
+		trial := cur.clone()
+		mutate(trial, rng, frozen)
+		c := ev.cost(trial)
+		stats.Proposals++
+		winProposals++
+		if d := c - curCost; d <= 0 || rng.Float64() < math.Exp(-d/temp) {
+			cur, curCost = trial, c
+			stats.Accepts++
+			winAccepts++
+			if curCost < bestCost {
+				bestCost = curCost
+				ev.realize(cur)
+				bestPlace = ev.place.Clone()
+			}
+		}
+		temp *= alpha
+		if opt.Tracer != nil && (move+1)%opt.TraceEvery == 0 {
+			opt.Tracer.SAEvent(obs.SARecord{
+				Move: move + 1, Temp: temp,
+				AcceptRate: float64(winAccepts) / float64(winProposals),
+				Cur:        curCost, Best: bestCost,
+			})
+			winProposals, winAccepts = 0, 0
+		}
 	}
 	stats.BestCost = bestCost
 	n.Normalize(bestPlace)

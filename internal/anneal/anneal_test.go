@@ -47,7 +47,7 @@ func symNetlist() *circuit.Netlist {
 }
 
 func fastOpts() Options {
-	return Options{Seed: 1, Moves: 4000, Restarts: 2}
+	return Options{Seed: 1, Moves: 8000}
 }
 
 func TestPlaceLegal(t *testing.T) {
@@ -83,8 +83,8 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedChangesResult(t *testing.T) {
 	n := symNetlist()
-	p1, _, _ := Place(n, Options{Seed: 1, Moves: 3000, Restarts: 1})
-	p2, _, _ := Place(n, Options{Seed: 99, Moves: 3000, Restarts: 1})
+	p1, _, _ := Place(n, Options{Seed: 1, Moves: 3000})
+	p2, _, _ := Place(n, Options{Seed: 99, Moves: 3000})
 	same := true
 	for i := range p1.X {
 		if p1.X[i] != p2.X[i] || p1.Y[i] != p2.Y[i] {
@@ -99,11 +99,11 @@ func TestPlaceSeedChangesResult(t *testing.T) {
 
 func TestMoreMovesNoWorse(t *testing.T) {
 	n := symNetlist()
-	_, sShort, err := Place(n, Options{Seed: 3, Moves: 300, Restarts: 1})
+	_, sShort, err := Place(n, Options{Seed: 3, Moves: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sLong, err := Place(n, Options{Seed: 3, Moves: 20000, Restarts: 3})
+	_, sLong, err := Place(n, Options{Seed: 3, Moves: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestVCenterAlignMacro(t *testing.T) {
 func TestOrderConstraintSatisfied(t *testing.T) {
 	n := symNetlist()
 	n.HOrders = [][]int{{5, 6}}
-	p, _, err := Place(n, Options{Seed: 2, Moves: 20000, Restarts: 3})
+	p, _, err := Place(n, Options{Seed: 2, Moves: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestInvalidNetlistRejected(t *testing.T) {
 // relative to the conventional result.
 func TestPerfModelInfluences(t *testing.T) {
 	n := symNetlist()
-	conv, _, err := Place(n, Options{Seed: 4, Moves: 8000, Restarts: 2})
+	conv, _, err := Place(n, Options{Seed: 4, Moves: 16000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestPerfModelInfluences(t *testing.T) {
 		bb := nl.BoundingBox(p)
 		return math.Min(bb.W()/40, 1) // dislikes wide layouts
 	})
-	perf, _, err := Place(n, Options{Seed: 4, Moves: 8000, Restarts: 2, Perf: pm, PerfWeight: 3})
+	perf, _, err := Place(n, Options{Seed: 4, Moves: 16000, Perf: pm, PerfWeight: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func (f perfFunc) Prob(n *circuit.Netlist, p *circuit.Placement) float64 { retur
 func BenchmarkPlaceSmall(b *testing.B) {
 	n := symNetlist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Place(n, Options{Seed: 1, Moves: 2000, Restarts: 1}); err != nil {
+		if _, _, err := Place(n, Options{Seed: 1, Moves: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/anneal"
+	"repro/internal/eplacea"
+	"repro/internal/gen"
+	"repro/internal/prevwork"
 	"repro/internal/testcircuits"
 )
 
-// fastSA keeps SA test runs quick.
+// fastSA keeps SA test runs quick: 6000 moves per chain, two chains by
+// default.
 func fastSA(seed int64) *anneal.Options {
-	return &anneal.Options{Seed: seed, Moves: 6000, Restarts: 2}
+	return &anneal.Options{Seed: seed, Moves: 6000}
 }
 
 func TestAllMethodsLegalOnAdder(t *testing.T) {
@@ -148,5 +153,87 @@ func TestDegenerateThresholdRejected(t *testing.T) {
 	if _, _, err := TrainPerfGNN(c.Netlist, c.Perf, 0.0001,
 		TrainOptions{Seed: 1, Samples: 50, Epochs: 1}); err == nil {
 		t.Error("expected degenerate-labels error for absurd threshold")
+	}
+}
+
+// TestSolverOwnedDefaults pins the defaults the solvers own rather than
+// core: each zero-valued knob places byte-identically to its resolved
+// value (rows with want), and a warm SA run anneals max(Moves/3, 2000)
+// proposals of an explicit move budget (rows with proposals). The edit
+// grows a netlist with rails wider than the diff's default fanout bound.
+func TestSolverOwnedDefaults(t *testing.T) {
+	base := gen.Params{Seed: 9, Devices: 48}
+	n := gen.MustGenerate(base)
+	edited := gen.MustGenerate(gen.Edited(base, 12))
+	prior, err := Place(n, MethodSA, Options{Seed: 1, SA: fastSA(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func(fanout int) *WarmStart {
+		return &WarmStart{Base: n, Placement: prior.Placement, MaxFanout: fanout}
+	}
+	fewIters := func(epochs int) *prevwork.Options {
+		return &prevwork.Options{Epochs: epochs, ItersPerEpoch: 25}
+	}
+	// An unreachable overflow target runs GP to its iteration cap.
+	toCap := func(maxIter int) *eplacea.Options {
+		return &eplacea.Options{MaxIter: maxIter, StopOverflow: 1e-9}
+	}
+	cases := []struct {
+		name      string
+		method    Method
+		opt       Options
+		want      *Options // resolved equivalent of opt
+		proposals int      // expected SAProposals
+	}{
+		{name: "sa cold chains 0 = 2", method: MethodSA,
+			opt:  Options{Seed: 2, SA: fastSA(2)},
+			want: &Options{Seed: 2, SA: fastSA(2), Chains: 2}},
+		{name: "sa warm chains 0 = 1", method: MethodSA,
+			opt:  Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0)},
+			want: &Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0), Chains: 1}},
+		{name: "sa warm moves 9000 -> 3000", method: MethodSA,
+			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 9000}, WarmStart: warm(0)},
+			proposals: 3000},
+		{name: "sa warm moves 3000 -> 2000", method: MethodSA,
+			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 3000}, WarmStart: warm(0)},
+			proposals: 2000},
+		{name: "warm fanout 0 = 10", method: MethodSA,
+			opt:  Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0)},
+			want: &Options{Seed: 2, SA: fastSA(2), WarmStart: warm(10)}},
+		{name: "prev warm epochs 0 = 7", method: MethodPrev,
+			opt:  Options{Seed: 2, Prev: fewIters(0), WarmStart: warm(0)},
+			want: &Options{Seed: 2, Prev: fewIters(7), WarmStart: warm(0)}},
+		{name: "eplace-a warm iterations 0 = 350", method: MethodEPlaceA,
+			opt:  Options{Seed: 2, GP: toCap(0), WarmStart: warm(0)},
+			want: &Options{Seed: 2, GP: toCap(350), WarmStart: warm(0)}},
+	}
+	render := func(res *Result) []byte {
+		var buf bytes.Buffer
+		if err := edited.WritePlacementJSON(&buf, res.Placement); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Place(edited, tc.method, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.proposals != 0 && got.SAProposals != tc.proposals {
+				t.Errorf("SAProposals = %d, want %d", got.SAProposals, tc.proposals)
+			}
+			if tc.want == nil {
+				return
+			}
+			want, err := Place(edited, tc.method, *tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(render(got), render(want)) {
+				t.Error("placement differs from the resolved default's")
+			}
+		})
 	}
 }

@@ -59,8 +59,8 @@ func TestQuickSuiteRefineHasNoSolverFailures(t *testing.T) {
 		for _, m := range []Method{MethodSA, MethodPrev, MethodEPlaceA} {
 			tr := obs.New()
 			res, err := Place(n, m, Options{
-				Seed: 1, Threads: 1, Portfolio: 1, Tracer: tr,
-				SA:     &anneal.Options{Seed: 1, Moves: 30000, Restarts: 1},
+				Seed: 1, Threads: 1, Portfolio: 1, Chains: 1, Tracer: tr,
+				SA:     &anneal.Options{Seed: 1, Moves: 30000},
 				Refine: &refine.Options{},
 			})
 			if err != nil {

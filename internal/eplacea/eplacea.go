@@ -49,7 +49,8 @@ type Options struct {
 	// gradually increasing one.
 	HardSym bool
 
-	// MaxIter caps Nesterov iterations (default 900).
+	// MaxIter caps Nesterov iterations (default 900; 350 for a warm
+	// start).
 	MaxIter int
 	// StopOverflow ends global placement once density overflow drops below
 	// this ratio (default 0.08).
@@ -177,6 +178,11 @@ func (o *Options) defaults() {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 900
+		if o.Warm != nil {
+			// The overflow-based early stop fires quickly from a
+			// nearly-legal start; the cap only guards pathological edits.
+			o.MaxIter = 350
+		}
 	}
 	if o.StopOverflow == 0 {
 		o.StopOverflow = 0.08

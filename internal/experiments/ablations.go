@@ -213,7 +213,7 @@ func RoutedValidation(cfg Config) ([]RoutedRow, error) {
 		for _, m := range []core.Method{core.MethodSA, core.MethodPrev, core.MethodEPlaceA} {
 			opt := core.Options{Tracer: cfg.Tracer, Seed: cfg.Seed, Portfolio: cfg.portfolio()}
 			if m == core.MethodSA {
-				opt.SA = cfg.saOptions(cfg.Seed)
+				opt.SA, opt.Chains = cfg.saOptions(cfg.Seed), cfg.saChains()
 			}
 			res, err := core.PlaceCtx(cfg.ctx(), c.Netlist, m, opt)
 			if err != nil {

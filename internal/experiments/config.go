@@ -41,13 +41,13 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// saOptions returns the simulated-annealing budget for the run mode: the
-// full mode mirrors the paper's "practical runtime limit" regime.
+// saOptions returns the simulated-annealing move budget for the run mode:
+// the full mode mirrors the paper's "practical runtime limit" regime.
 func (c Config) saOptions(seed int64) *anneal.Options {
 	if c.Quick {
-		return &anneal.Options{Seed: seed, Moves: 30000, Restarts: 1, Tracer: c.Tracer}
+		return &anneal.Options{Seed: seed, Moves: 30000, Tracer: c.Tracer}
 	}
-	return &anneal.Options{Seed: seed, Tracer: c.Tracer} // package defaults: long chains, 2 restarts
+	return &anneal.Options{Seed: seed, Tracer: c.Tracer} // package default: long chains
 }
 
 // perfSAOptions returns the budget for performance-driven SA, whose cost
@@ -55,9 +55,18 @@ func (c Config) saOptions(seed int64) *anneal.Options {
 // runtimes are of the same magnitude as its conventional SA.
 func (c Config) perfSAOptions(seed int64, n int) *anneal.Options {
 	if c.Quick {
-		return &anneal.Options{Seed: seed, Moves: 8000, Restarts: 1, Tracer: c.Tracer}
+		return &anneal.Options{Seed: seed, Moves: 8000, Tracer: c.Tracer}
 	}
-	return &anneal.Options{Seed: seed, Moves: 100000 + 5000*n, Restarts: 2, Tracer: c.Tracer}
+	return &anneal.Options{Seed: seed, Moves: 100000 + 5000*n, Tracer: c.Tracer}
+}
+
+// saChains returns the SA portfolio width: one chain in quick mode, core's
+// default (two) otherwise.
+func (c Config) saChains() int {
+	if c.Quick {
+		return 1
+	}
+	return 0
 }
 
 // portfolio returns the ePlace-A portfolio size.

@@ -132,7 +132,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		for _, m := range []core.Method{core.MethodSA, core.MethodPrev, core.MethodEPlaceA} {
 			opt := core.Options{Tracer: cfg.Tracer, Seed: cfg.Seed, Portfolio: cfg.portfolio()}
 			if m == core.MethodSA {
-				opt.SA = cfg.saOptions(cfg.Seed)
+				opt.SA, opt.Chains = cfg.saOptions(cfg.Seed), cfg.saChains()
 			}
 			res, err := core.PlaceCtx(cfg.ctx(), c.Netlist, m, opt)
 			if err != nil {
@@ -269,7 +269,7 @@ func Fig5(cfg Config) ([]SweepPoint, error) {
 	}
 	for _, w := range saWeights {
 		res, err := core.PlaceCtx(cfg.ctx(), c.Netlist, core.MethodSA, core.Options{Tracer: cfg.Tracer,
-			Seed: cfg.Seed, AreaWeight: w, SA: cfg.saOptions(cfg.Seed),
+			Seed: cfg.Seed, AreaWeight: w, SA: cfg.saOptions(cfg.Seed), Chains: cfg.saChains(),
 		})
 		if err != nil {
 			return nil, err

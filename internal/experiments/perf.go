@@ -25,7 +25,7 @@ func perfRun(cfg Config, c *testcircuits.Case, models *Models,
 	n := c.Netlist
 	opt := core.Options{Tracer: cfg.Tracer, Seed: cfg.Seed, Portfolio: cfg.portfolio()}
 	if m == core.MethodSA {
-		opt.SA = cfg.saOptions(cfg.Seed)
+		opt.SA, opt.Chains = cfg.saOptions(cfg.Seed), cfg.saChains()
 	}
 	conv, err := core.PlaceCtx(cfg.ctx(), n, m, opt)
 	if err != nil {
@@ -39,7 +39,7 @@ func perfRun(cfg Config, c *testcircuits.Case, models *Models,
 		Perf:      &core.PerfTerm{Model: models.ByName[n.Name]},
 	}
 	if m == core.MethodSA {
-		popt.SA = cfg.perfSAOptions(cfg.Seed, len(n.Devices))
+		popt.SA, popt.Chains = cfg.perfSAOptions(cfg.Seed, len(n.Devices)), cfg.saChains()
 	}
 	perf, err := core.PlaceCtx(cfg.ctx(), n, m, popt)
 	if err != nil {
@@ -241,7 +241,7 @@ func Fig6(cfg Config, models *Models) ([]SweepPoint, error) {
 				Perf:      &core.PerfTerm{Model: model, Weight: w},
 			}
 			if m == core.MethodSA {
-				opt.SA = cfg.perfSAOptions(cfg.Seed, len(n.Devices))
+				opt.SA, opt.Chains = cfg.perfSAOptions(cfg.Seed, len(n.Devices)), cfg.saChains()
 			}
 			res, err := core.PlaceCtx(cfg.ctx(), n, m, opt)
 			if err != nil {

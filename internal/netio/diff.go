@@ -59,6 +59,10 @@ type Diff struct {
 	Added   int // edited devices with no base counterpart
 	Removed int // base devices with no edited counterpart
 	Changed int // matched devices whose context hash differs
+
+	// MaxFanout is the local-net fanout bound the diff ran with
+	// (DiffOptions.MaxFanout, default applied).
+	MaxFanout int
 }
 
 // Anchored returns the per-device anchor mask: matched devices outside
@@ -110,6 +114,7 @@ func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
 		BaseIndex: make([]int, nd),
 		Unchanged: make([]bool, nd),
 		Perturbed: make([]bool, nd),
+		MaxFanout: opt.MaxFanout,
 	}
 	matched := 0
 	for i := range edited.Devices {

@@ -163,7 +163,7 @@ type SAPoint struct {
 // SAStats summarizes the simulated-annealing progress samples.
 type SAStats struct {
 	Samples     int       `json:"samples"`
-	Restarts    int       `json:"restarts"`
+	Chains      int       `json:"chains"`
 	FirstAccept float64   `json:"first_accept"`
 	LastAccept  float64   `json:"last_accept"`
 	BestCost    float64   `json:"best_cost"`
@@ -196,7 +196,7 @@ func Summarize(t *Trace) *Report {
 	rep := &Report{Name: t.Name, Events: len(t.Events)}
 	bySolver := map[string][]CurvePoint{}
 	var sa []SAPoint
-	restarts := map[int]bool{}
+	chains := map[int]bool{}
 	saFirst, saLast, saBest := 0.0, 0.0, math.Inf(1)
 	saSeen := false
 	for _, e := range t.Events {
@@ -215,7 +215,7 @@ func Summarize(t *Trace) *Report {
 		case obs.KindSA:
 			s := e.SA
 			sa = append(sa, SAPoint{Move: s.Move, Temp: s.Temp, AcceptRate: s.AcceptRate, Best: s.Best})
-			restarts[s.Restart] = true
+			chains[s.Chain] = true
 			if !saSeen {
 				saFirst = s.AcceptRate
 				saSeen = true
@@ -246,7 +246,7 @@ func Summarize(t *Trace) *Report {
 	if saSeen {
 		rep.SA = &SAStats{
 			Samples:     len(sa),
-			Restarts:    len(restarts),
+			Chains:      len(chains),
 			FirstAccept: saFirst,
 			LastAccept:  saLast,
 			BestCost:    saBest,

@@ -167,6 +167,15 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	if regs := Diff(a, a, DiffOptions{}).Regressions(); len(regs) != 0 {
 		t.Errorf("self-diff regressed: %+v", regs)
 	}
+
+	// An SA trace has no iteration events, so its QoR is the final
+	// placement's place.hpwl_um gauge.
+	saA := &Report{Name: "sa-a", Gauges: map[string]float64{"place.hpwl_um": 18.57}}
+	saB := &Report{Name: "sa-b", Gauges: map[string]float64{"place.hpwl_um": 19.5}}
+	regs := Diff(saA, saB, DiffOptions{HPWLTol: 0.02}).Regressions()
+	if len(regs) != 1 || regs[0].Metric != "place.hpwl_um" {
+		t.Errorf("5%% SA placement HPWL increase not flagged: %+v", regs)
+	}
 }
 
 // TestRoundTripWithObsTypes pins the parse path to the real obs.Event JSON:

@@ -8,8 +8,9 @@ import (
 // DiffOptions sets the regression thresholds for Diff, as relative
 // increases ((B-A)/A). Zero values select the defaults.
 type DiffOptions struct {
-	// HPWLTol is the allowed relative increase in final HPWL before the
-	// diff counts a quality regression (default 0.02 = 2%).
+	// HPWLTol is the allowed relative increase in final HPWL and in the
+	// placement's place.hpwl_um gauge before the diff counts a quality
+	// regression (default 0.02 = 2%).
 	HPWLTol float64
 	// TimeTol is the allowed relative increase in wall time and per-stage
 	// self time (default 0.25 — wall clocks are noisy).
@@ -62,10 +63,11 @@ func (d *DiffReport) Regressions() []Delta {
 	return out
 }
 
-// Diff compares run B against baseline A: final HPWL against HPWLTol, wall
-// time and per-stage self time against TimeTol. Metrics absent from either
-// side (a stage only one run has, a method without HPWL events) are
-// skipped — the diff compares like with like.
+// Diff compares run B against baseline A: final HPWL and the final
+// placement's place.hpwl_um gauge against HPWLTol, wall time and per-stage
+// self time against TimeTol. Metrics absent from either side (a stage only
+// one run has, a method without HPWL events) are skipped — the diff
+// compares like with like.
 func Diff(a, b *Report, opt DiffOptions) *DiffReport {
 	opt.defaults()
 	d := &DiffReport{A: a.Name, B: b.Name}
@@ -80,6 +82,8 @@ func Diff(a, b *Report, opt DiffOptions) *DiffReport {
 		})
 	}
 	add("final_hpwl", a.FinalHPWL, b.FinalHPWL, opt.HPWLTol)
+	// The only QoR figure an SA trace carries: it has no iteration events.
+	add("place.hpwl_um", a.Gauges["place.hpwl_um"], b.Gauges["place.hpwl_um"], opt.HPWLTol)
 	add("wall_ms", a.WallMS, b.WallMS, opt.TimeTol)
 
 	bStages := map[string]Stage{}

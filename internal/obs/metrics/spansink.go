@@ -15,8 +15,8 @@ import (
 // the solvers knowing the registry exists.
 //
 // Stage names are normalized to bound label cardinality: only the last
-// path segment is kept, and a trailing "-<digits>" enumeration (restart-3,
-// refine-1) is stripped, so all refinement passes share one series.
+// path segment is kept, and a trailing "-<digits>" enumeration (refine-1)
+// is stripped, so all refinement passes share one series.
 type SpanSink struct {
 	reg    *Registry
 	name   string

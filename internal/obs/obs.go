@@ -81,12 +81,14 @@ type IterRecord struct {
 // SARecord is a progress sample of the simulated-annealing placer: the
 // cooling state and cost trajectory at a configurable move cadence.
 type SARecord struct {
-	Restart    int     `json:"restart"`
+	// Chain is the sample's chain index within the SA portfolio. The JSON
+	// key predates chains and is kept so recorded traces still parse.
+	Chain      int     `json:"restart"`
 	Move       int     `json:"move"`
 	Temp       float64 `json:"temp"`
 	AcceptRate float64 `json:"accept_rate"` // acceptance rate since the previous sample
 	Cur        float64 `json:"cur"`         // current cost
-	Best       float64 `json:"best"`        // best cost so far (across restarts)
+	Best       float64 `json:"best"`        // best cost so far
 }
 
 // LPRecord describes one completed LP or ILP solve.

@@ -15,7 +15,7 @@ func emitOneOfEach(t *Tracer) {
 	t.IterEvent(IterRecord{Solver: "nesterov", Iter: 0, F: 12.5, Grad: 3.25, Step: 0.125,
 		HPWL: 100.5, Overflow: 0.75, Lambda: 1e-4, Sym: 0.5,
 		GradWL: 1.5, GradDensity: 0.25, GradSym: 0.125, GradArea: 0.0625, GradExtra: 0.03125})
-	t.SAEvent(SARecord{Restart: 1, Move: 200, Temp: 0.5, AcceptRate: 0.25, Cur: 42.5, Best: 40})
+	t.SAEvent(SARecord{Chain: 1, Move: 200, Temp: 0.5, AcceptRate: 0.25, Cur: 42.5, Best: 40})
 	t.LPEvent(LPRecord{Solver: "lp", Label: "compaction-x", Rows: 12, Cols: 8, Pivots: 17, Obj: 3.5, Status: "optimal"})
 	t.Count("gp.iterations", 64)
 	t.Gauge("gp.final_hpwl", 99.5)

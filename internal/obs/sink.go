@@ -134,8 +134,8 @@ func (s *ProgressSink) Emit(e Event) {
 			return
 		}
 		r := e.SA
-		fmt.Fprintf(s.W, "[%9.3fs] %s sa restart %d move %d T=%.3g acc=%.2f cur=%.6g best=%.6g\n",
-			e.TS, e.Span, r.Restart, r.Move, r.Temp, r.AcceptRate, r.Cur, r.Best)
+		fmt.Fprintf(s.W, "[%9.3fs] %s sa chain %d move %d T=%.3g acc=%.2f cur=%.6g best=%.6g\n",
+			e.TS, e.Span, r.Chain, r.Move, r.Temp, r.AcceptRate, r.Cur, r.Best)
 	case KindLP:
 		r := e.LP
 		fmt.Fprintf(s.W, "[%9.3fs] %s %s", e.TS, e.Span, r.Solver)

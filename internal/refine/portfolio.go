@@ -2,10 +2,9 @@
 // refinement on top of the base placement methods:
 //
 //   - Portfolio runs simulated annealing as N independent chains with
-//     deterministic per-chain seeds and a deterministic best-of reduction,
-//     replacing the sequential restart loop: spare cores become extra
-//     restarts instead of idle time, with bit-identical results at any
-//     thread count.
+//     deterministic per-chain seeds and a deterministic best-of reduction:
+//     spare cores become extra chains instead of idle time, with
+//     bit-identical results at any thread count.
 //   - Refine is an ILP large-neighborhood local search (the matheuristic
 //     of Grus & Hanzálek): small windows of a legal placement — chosen by
 //     spatial locality and closed over symmetry pairs — are re-solved
@@ -34,10 +33,9 @@ const chainSeedStride = 7919
 
 // PortfolioOptions configures a portfolio SA run.
 type PortfolioOptions struct {
-	// Chains is the number of independent SA chains. 0 derives the count
-	// from the annealer's Restarts knob (its default of 2 included), which
-	// is how the sequential restart loop is replaced: same search budget,
-	// run in parallel.
+	// Chains is the number of independent SA chains (default 2, or 1 for
+	// a warm start, whose seeded low-temperature polish gains nothing from
+	// a second chain).
 	Chains int
 	// Pool executes chains as tasks; nil runs them sequentially. Results
 	// do not depend on the pool in any way.
@@ -46,8 +44,7 @@ type PortfolioOptions struct {
 	// annealer emits, so per-stage runtime attribution stays comparable
 	// across chain counts — with one aggregate SA sample per chain plus
 	// the sa.* counters and sa.portfolio.* gauges. With exactly one chain
-	// the run is traced inline by the annealer itself (identical trace
-	// shape to the pre-portfolio code).
+	// the run is traced inline by the annealer itself.
 	Tracer *obs.Tracer
 }
 
@@ -55,7 +52,7 @@ type PortfolioOptions struct {
 // under a deterministic reduction: lowest weighted HPWL, then smallest
 // bounding-box area, then lowest chain index (with a performance model
 // attached, lowest predicted failure probability leads instead). Chain c
-// anneals with seed Seed + 7919·c and Restarts = 1; the reduction compares
+// anneals with seed Seed + 7919·c; the reduction compares
 // exact geometric metrics, not SA-internal costs, because each chain
 // normalizes its cost scale independently.
 //
@@ -67,16 +64,15 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 	}
 	chains := popt.Chains
 	if chains <= 0 {
-		chains = saOpt.Restarts
-		if chains <= 0 {
-			chains = 2 // the annealer's Restarts default
+		chains = 2
+		if saOpt.Warm != nil {
+			chains = 1
 		}
 	}
 	if chains == 1 {
 		// A single chain runs inline under the caller's tracer: identical
-		// bits and identical trace shape to the pre-portfolio annealer.
+		// bits to chain 0 of any wider portfolio.
 		o := saOpt
-		o.Restarts = 1
 		if o.Tracer == nil {
 			o.Tracer = popt.Tracer
 		}
@@ -98,7 +94,6 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 			return
 		}
 		o := saOpt
-		o.Restarts = 1
 		// Chains run concurrently, so they must not share the tracer:
 		// the span stack is not safe for concurrent nesting. Aggregate
 		// telemetry is emitted below from the calling goroutine.
@@ -147,10 +142,10 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 	if popt.Tracer.Enabled() {
 		for c := range results {
 			popt.Tracer.SAEvent(obs.SARecord{
-				Restart: c,
-				Move:    results[c].stats.Proposals,
-				Cur:     results[c].stats.BestCost,
-				Best:    results[best].stats.BestCost,
+				Chain: c,
+				Move:  results[c].stats.Proposals,
+				Cur:   results[c].stats.BestCost,
+				Best:  results[best].stats.BestCost,
 			})
 		}
 		popt.Tracer.Count("sa.proposals", float64(stats.Proposals))

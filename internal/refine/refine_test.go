@@ -22,7 +22,7 @@ func testNetlist(t *testing.T, devices int) *circuit.Netlist {
 }
 
 func fastSA(seed int64) anneal.Options {
-	return anneal.Options{Seed: seed, Moves: 6000, Restarts: 1}
+	return anneal.Options{Seed: seed, Moves: 6000}
 }
 
 func placementBytes(t *testing.T, n *circuit.Netlist, p *circuit.Placement) []byte {

@@ -102,7 +102,7 @@ type SubmitRequest struct {
 	Mu         float64 `json:"mu,omitempty"`
 	Portfolio  int     `json:"portfolio,omitempty"`
 	// Chains is the SA portfolio width: independent parallel chains with a
-	// deterministic best-of reduction (0 = the annealer's restart count).
+	// deterministic best-of reduction (0 = 2 chains cold, 1 warm).
 	Chains int `json:"chains,omitempty"`
 	// Refine appends the ILP large-neighborhood refinement stage after the
 	// selected method; RefineWindows bounds its window budget (0 = auto).
