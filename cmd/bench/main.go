@@ -38,7 +38,7 @@ func main() {
 		netlists = flag.String("netlist", "", "comma-separated explicit cases instead of a suite: JSON files, built-in circuit names, or gen:<devices>[@seed] specs")
 		methods  = flag.String("methods", "", "comma-separated methods to benchmark: sa, prev, eplace-a (default all)")
 		reps     = flag.Int("reps", 0, "timed repetitions per case and method (default 3, 1 with -quick)")
-		warmup   = flag.Int("warmup", -1, "untimed warmup runs per case and method (default 1, 0 with -quick)")
+		warmup   = flag.Int("warmup", -1, "untimed warmup runs per case and method; -1 = per-mode default (1, 0 with -quick), 0 = none")
 		seed     = flag.Int64("seed", 1, "seed for both circuit generation and placement")
 		threads  = flag.Int("threads", runtime.NumCPU(), "worker threads for the placement kernels (QoR is bit-identical at any count)")
 		quick    = flag.Bool("quick", false, "reduced solver budgets and repetitions (CI smoke scale)")
@@ -65,7 +65,7 @@ func main() {
 	flag.Parse()
 	opt := bench.Options{
 		Reps:          *reps,
-		Warmup:        *warmup,
+		Warmup:        warmupRuns(*warmup),
 		Seed:          *seed,
 		Quick:         *quick,
 		Threads:       *threads,
@@ -162,6 +162,21 @@ func run(suite, sizes, netlists, methods, label, outDir, baseline string,
 		log.Printf("no regressions vs %s", baseline)
 	}
 	return nil
+}
+
+// warmupRuns maps the -warmup flag onto bench.Options.Warmup, whose zero
+// value is the per-mode default and whose negative values mean none: the
+// flag's -1 default asks for the per-mode default and an explicit 0 for no
+// warmup at all.
+func warmupRuns(flagVal int) int {
+	switch {
+	case flagVal < 0:
+		return 0
+	case flagVal == 0:
+		return -1
+	default:
+		return flagVal
+	}
 }
 
 // resolveCases materializes the benchmark circuits from whichever source

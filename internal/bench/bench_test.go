@@ -241,3 +241,26 @@ func TestCompare(t *testing.T) {
 		t.Fatal("Compare accepted mismatched seeds")
 	}
 }
+
+// TestWarmupDefaults pins how Options.Warmup resolves: zero is the per-mode
+// default (one warmup in full mode, none in quick mode), a negative value
+// is none in either mode, and a positive count is kept.
+func TestWarmupDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		warmup int
+		quick  bool
+		want   int
+	}{
+		{0, false, 1},
+		{0, true, 0},
+		{-1, false, 0},
+		{-1, true, 0},
+		{2, false, 2},
+		{2, true, 2},
+	} {
+		got := Options{Warmup: tc.warmup, Quick: tc.quick}.withDefaults().Warmup
+		if got != tc.want {
+			t.Errorf("Warmup %d, Quick %v: resolved to %d, want %d", tc.warmup, tc.quick, got, tc.want)
+		}
+	}
+}

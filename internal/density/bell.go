@@ -21,6 +21,12 @@ type Bell struct {
 
 	dens  []float64 // smoothed area per bin
 	cNorm []float64 // per-device normalization so total spread equals area
+
+	// Per-axis kernel tables of the last Update, flat over devices:
+	// device i's entries are xTaps[xOff[i]:xOff[i+1]] and
+	// yTaps[yOff[i]:yOff[i+1]].
+	xTaps, yTaps []tap
+	xOff, yOff   []int
 }
 
 // NewBell creates an m×m bell-shaped density grid over region with the
@@ -69,75 +75,91 @@ func bell(d, w2, r float64) (val, deriv float64) {
 }
 
 // Update recomputes the smoothed density field for placement p, including
-// the per-device normalization constants.
+// the per-device normalization constants, and rebuilds the per-device
+// kernel tables that AddGrad reads. The bell kernel is separable,
+// p_x(b_x)·p_y(b_y), so each device's support is two short per-axis tables
+// instead of one kernel evaluation per (b_x, b_y) bin.
 func (b *Bell) Update(n *circuit.Netlist, p *circuit.Placement) {
 	m := b.m
 	for i := range b.dens {
 		b.dens[i] = 0
 	}
-	if len(b.cNorm) != len(n.Devices) {
-		b.cNorm = make([]float64, len(n.Devices))
+	nd := len(n.Devices)
+	if len(b.cNorm) != nd {
+		b.cNorm = make([]float64, nd)
+		b.xOff = make([]int, nd+1)
+		b.yOff = make([]int, nd+1)
 	}
+	b.xTaps = b.xTaps[:0]
+	b.yTaps = b.yTaps[:0]
 	for i := range n.Devices {
 		d := &n.Devices[i]
+		b.xTaps = b.appendTaps(b.xTaps, p.X[i], d.W/2, b.region.Lo.X, b.binW)
+		b.yTaps = b.appendTaps(b.yTaps, p.Y[i], d.H/2, b.region.Lo.Y, b.binH)
+		b.xOff[i+1] = len(b.xTaps)
+		b.yOff[i+1] = len(b.yTaps)
+		xs, ys := b.taps(i)
 		// First pass: raw kernel sum for normalization.
 		var sum float64
-		b.visit(n, p, i, func(bx, by int, px, py, _, _ float64) {
-			sum += px * py
-		})
+		for _, ty := range ys {
+			for _, tx := range xs {
+				sum += tx.val * ty.val
+			}
+		}
 		if sum <= 0 {
 			b.cNorm[i] = 0
 			continue
 		}
 		b.cNorm[i] = d.Area() / sum
 		c := b.cNorm[i]
-		b.visit(n, p, i, func(bx, by int, px, py, _, _ float64) {
-			b.dens[by*m+bx] += c * px * py
-		})
+		for _, ty := range ys {
+			row := b.dens[ty.bin*m : (ty.bin+1)*m]
+			for _, tx := range xs {
+				row[tx.bin] += c * tx.val * ty.val
+			}
+		}
 	}
 }
 
-// visit calls fn for every bin within device i's kernel support with the
-// per-axis kernel values and derivatives. Kernel mass that would land
-// outside the region is folded into the nearest edge bin (with the kernel
-// still evaluated at the virtual bin center), so the region boundary piles
-// up density and repels devices instead of silently swallowing their mass —
-// without this, boundaries act as density sinks and the placement drifts
-// into a wall.
-func (b *Bell) visit(n *circuit.Netlist, p *circuit.Placement, i int,
-	fn func(bx, by int, px, py, dpx, dpy float64)) {
-	d := &n.Devices[i]
-	cx, cy := p.X[i], p.Y[i]
-	suppX := d.W/2 + 2*b.binW
-	suppY := d.H/2 + 2*b.binH
-	x0 := int(math.Floor((cx - suppX - b.region.Lo.X) / b.binW))
-	x1 := int(math.Ceil((cx + suppX - b.region.Lo.X) / b.binW))
-	y0 := int(math.Floor((cy - suppY - b.region.Lo.Y) / b.binH))
-	y1 := int(math.Ceil((cy + suppY - b.region.Lo.Y) / b.binH))
-	clampIdx := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= b.m {
-			return b.m - 1
-		}
-		return v
-	}
-	for by := y0; by < y1; by++ {
-		bcy := b.region.Lo.Y + (float64(by)+0.5)*b.binH
-		py, dpy := bell(bcy-cy, d.H/2, b.binH)
-		if py == 0 {
+// tap is one nonzero entry of a device's per-axis kernel table: the bin
+// index (clamped into the grid), and the kernel value and its derivative
+// with respect to the bin-center distance.
+type tap struct {
+	bin      int
+	val, der float64
+}
+
+// taps returns device i's x and y kernel tables from the last Update.
+func (b *Bell) taps(i int) (xs, ys []tap) {
+	return b.xTaps[b.xOff[i]:b.xOff[i+1]], b.yTaps[b.yOff[i]:b.yOff[i+1]]
+}
+
+// appendTaps appends the kernel table of one axis for a device centered at
+// c with half-size half, over bins of size r starting at lo, dropping zero
+// entries. Kernel mass that would land outside the region is folded into
+// the nearest edge bin (with the kernel still evaluated at the virtual bin
+// center), so the region boundary piles up density and repels devices
+// instead of silently swallowing their mass — without this, boundaries act
+// as density sinks and the placement drifts into a wall.
+func (b *Bell) appendTaps(dst []tap, c, half, lo, r float64) []tap {
+	supp := half + 2*r
+	k0 := int(math.Floor((c - supp - lo) / r))
+	k1 := int(math.Ceil((c + supp - lo) / r))
+	for k := k0; k < k1; k++ {
+		bc := lo + (float64(k)+0.5)*r
+		v, dv := bell(bc-c, half, r)
+		if v == 0 {
 			continue
 		}
-		for bx := x0; bx < x1; bx++ {
-			bcx := b.region.Lo.X + (float64(bx)+0.5)*b.binW
-			px, dpx := bell(bcx-cx, d.W/2, b.binW)
-			if px == 0 {
-				continue
-			}
-			fn(clampIdx(bx), clampIdx(by), px, py, dpx, dpy)
+		bin := k
+		if bin < 0 {
+			bin = 0
+		} else if bin >= b.m {
+			bin = b.m - 1
 		}
+		dst = append(dst, tap{bin: bin, val: v, der: dv})
 	}
+	return dst
 }
 
 // Penalty returns the squared-excess density penalty
@@ -155,28 +177,31 @@ func (b *Bell) Penalty() float64 {
 }
 
 // AddGrad accumulates the penalty gradient with respect to device centers
-// into gradX/gradY, using the kernel derivatives and the last Update's
-// density field (normalization constants treated as locally constant, the
-// standard NTUplace3 approximation). Note the kernel derivative with
-// respect to the device center is the negative of the derivative with
-// respect to bin-center distance.
-func (b *Bell) AddGrad(n *circuit.Netlist, p *circuit.Placement, gradX, gradY []float64) {
+// at the last Update's placement into gradX/gradY, from that Update's
+// kernel tables and density field (normalization constants treated as
+// locally constant, the standard NTUplace3 approximation). Note the kernel
+// derivative with respect to the device center is the negative of the
+// derivative with respect to bin-center distance.
+func (b *Bell) AddGrad(gradX, gradY []float64) {
 	m := b.m
 	t := b.target * b.binW * b.binH
-	for i := range n.Devices {
-		c := b.cNorm[i]
+	for i, c := range b.cNorm {
 		if c == 0 {
 			continue
 		}
+		xs, ys := b.taps(i)
 		var gx, gy float64
-		b.visit(n, p, i, func(bx, by int, px, py, dpx, dpy float64) {
-			e := b.dens[by*m+bx] - t
-			if e <= 0 {
-				return
+		for _, ty := range ys {
+			row := b.dens[ty.bin*m : (ty.bin+1)*m]
+			for _, tx := range xs {
+				e := row[tx.bin] - t
+				if e <= 0 {
+					continue
+				}
+				gx += 2 * e * c * (-tx.der) * ty.val
+				gy += 2 * e * c * tx.val * (-ty.der)
 			}
-			gx += 2 * e * c * (-dpx) * py
-			gy += 2 * e * c * px * (-dpy)
-		})
+		}
 		gradX[i] += gx
 		gradY[i] += gy
 	}

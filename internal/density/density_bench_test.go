@@ -2,6 +2,7 @@ package density
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -90,3 +91,29 @@ func BenchmarkUpdateFull(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBell measures one bell-model objective evaluation as prevwork's
+// conjugate-gradient GP makes it — Update, Penalty and AddGrad — on
+// gen:48@49 at the m=64 grid the prev placer runs, with the devices spread
+// over the middle of the region as in mid-solve iterations.
+func BenchmarkBell(b *testing.B) {
+	n, region := bellBenchNetlist(b)
+	p := circuit.NewPlacement(n)
+	rng := rand.New(rand.NewSource(1))
+	side := region.W()
+	for i := range p.X {
+		p.X[i] = side/2 + (rng.Float64()-0.5)*0.6*side
+		p.Y[i] = side/2 + (rng.Float64()-0.5)*0.6*side
+	}
+	bell := NewBell(64, region, 1.0)
+	gx := make([]float64, n.NumDevices())
+	gy := make([]float64, n.NumDevices())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bell.Update(n, p)
+		sinkPenalty = bell.Penalty()
+		bell.AddGrad(gx, gy)
+	}
+}
+
+var sinkPenalty float64

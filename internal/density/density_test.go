@@ -240,7 +240,7 @@ func TestBellGradientPushesApart(t *testing.T) {
 	}
 	gx := make([]float64, 2)
 	gy := make([]float64, 2)
-	b.AddGrad(n, p, gx, gy)
+	b.AddGrad(gx, gy)
 	if gx[0] <= 0 || gx[1] >= 0 {
 		t.Errorf("bell gradient does not separate: gx = %v", gx)
 	}
@@ -260,7 +260,7 @@ func TestBellGradientFiniteDifference(t *testing.T) {
 	b.Update(n, p)
 	gx := make([]float64, 3)
 	gy := make([]float64, 3)
-	b.AddGrad(n, p, gx, gy)
+	b.AddGrad(gx, gy)
 	const h = 1e-5
 	for i := 0; i < 3; i++ {
 		p.X[i] += h

@@ -171,13 +171,13 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 		bell.Update(n, pl)
 		rasterH.Observe(time.Since(t0).Seconds())
 	}
-	bellAddGrad := func(pl *circuit.Placement, dgx, dgy []float64) {
+	bellAddGrad := func(dgx, dgy []float64) {
 		if gradH == nil {
-			bell.AddGrad(n, pl, dgx, dgy)
+			bell.AddGrad(dgx, dgy)
 			return
 		}
 		t0 := time.Now()
-		bell.AddGrad(n, pl, dgx, dgy)
+		bell.AddGrad(dgx, dgy)
 		gradH.Observe(time.Since(t0).Seconds())
 	}
 
@@ -220,7 +220,7 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 	bellUpdate(p)
 	zero(sgx)
 	zero(sgy)
-	bellAddGrad(p, sgx, sgy)
+	bellAddGrad(sgx, sgy)
 	dNorm := nlopt.Norm1(sgx) + nlopt.Norm1(sgy) + 1e-12
 	beta := 2e-2 * wlNorm / dNorm
 
@@ -267,7 +267,7 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 		f += beta * bell.Penalty()
 		zero(sgx)
 		zero(sgy)
-		bellAddGrad(p, sgx, sgy)
+		bellAddGrad(sgx, sgy)
 		for i := 0; i < nd; i++ {
 			gx[i] += beta * sgx[i]
 			gy[i] += beta * sgy[i]

@@ -760,7 +760,6 @@ func (m *Manager) Cancel(id string) error {
 		j.state = StateCanceled
 		j.finished = time.Now()
 		j.err = context.Canceled.Error()
-		close(j.done)
 		j.mu.Unlock()
 		// Drop the scheduler entry: the quota releases immediately and the
 		// job never reaches a worker. If the pop already happened (Remove
@@ -769,6 +768,7 @@ func (m *Manager) Cancel(id string) error {
 		m.sched.Remove(j.item)
 		j.trc.Close() // end event streams
 		m.finalize(j, StateCanceled)
+		close(j.done)
 	case StateRunning:
 		cancel := j.cancelRun
 		j.mu.Unlock()
@@ -897,13 +897,14 @@ func (m *Manager) runJob(job *Job) {
 		job.err = err.Error()
 	}
 	job.state = final
-	close(job.done)
 	job.mu.Unlock()
 	m.finalize(job, final)
+	close(job.done)
 }
 
 // finalize updates service counters and rolls the job's solver telemetry
-// into the aggregate /metrics view.
+// into the aggregate /metrics view. Callers run it before closing the
+// job's done channel, so a waiter on Done reads Metrics with the job in it.
 func (m *Manager) finalize(job *Job, final State) {
 	sum := job.trc.Summary()
 	m.reg.Counter("placerd_jobs_total",

@@ -46,6 +46,7 @@ const netGrain = 32
 type netScratch struct {
 	xs, ys []float64 // pin coordinates
 	gx, gy []float64 // per-pin gradients
+	ep, em []float64 // per-pin exponentials, value pass to gradient pass
 	own    []int     // owning device per pin
 }
 
@@ -55,6 +56,8 @@ func newNetScratch(maxPins int) netScratch {
 		ys:  make([]float64, maxPins),
 		gx:  make([]float64, maxPins),
 		gy:  make([]float64, maxPins),
+		ep:  make([]float64, maxPins),
+		em:  make([]float64, maxPins),
 		own: make([]int, maxPins),
 	}
 }
@@ -243,8 +246,8 @@ func (ev *Evaluator) evalShard(p *circuit.Placement, lo, hi int, sc *netScratch,
 			sc.xs[i], sc.ys[i] = pt.X, pt.Y
 			sc.own[i] = pr.Device
 		}
-		lx := ev.axis(sc.xs[:k], sc.gx[:k], gradX != nil)
-		ly := ev.axis(sc.ys[:k], sc.gy[:k], gradY != nil)
+		lx := ev.axis(sc.xs[:k], sc.gx[:k], sc, gradX != nil)
+		ly := ev.axis(sc.ys[:k], sc.gy[:k], sc, gradY != nil)
 		total += w * (lx + ly)
 		if gradX != nil {
 			for i := 0; i < k; i++ {
@@ -277,19 +280,23 @@ func merge(dst, src []float64) {
 }
 
 // axis evaluates the smoothed (max - min) of coords and writes per-pin
-// gradients into grad when wantGrad is set. It dispatches on the smoother.
-func (ev *Evaluator) axis(coords, grad []float64, wantGrad bool) float64 {
+// gradients into grad when wantGrad is set, using sc's exponential buffers.
+// It dispatches on the smoother.
+func (ev *Evaluator) axis(coords, grad []float64, sc *netScratch, wantGrad bool) float64 {
+	k := len(coords)
 	switch ev.kind {
 	case WA:
-		return waAxis(coords, grad, ev.gamma, wantGrad)
+		return waAxis(coords, grad, sc.ep[:k], sc.em[:k], ev.gamma, wantGrad)
 	default:
-		return lseAxis(coords, grad, ev.gamma, wantGrad)
+		return lseAxis(coords, grad, sc.ep[:k], sc.em[:k], ev.gamma, wantGrad)
 	}
 }
 
 // waAxis computes the WA approximation of max(coords) - min(coords) per
-// Eq. (2), with exp-shift for numerical stability.
-func waAxis(coords, grad []float64, gamma float64, wantGrad bool) float64 {
+// Eq. (2), with exp-shift for numerical stability. The value pass stores
+// each pin's two exponentials in ep/em (len(coords) each) for the gradient
+// pass, so a pin costs two math.Exp calls.
+func waAxis(coords, grad, ep, em []float64, gamma float64, wantGrad bool) float64 {
 	if len(coords) == 0 {
 		return 0
 	}
@@ -299,22 +306,20 @@ func waAxis(coords, grad []float64, gamma float64, wantGrad bool) float64 {
 		minC = math.Min(minC, c)
 	}
 	var sp, tp, sm, tm float64 // S+, T+, S-, T-
-	for _, c := range coords {
-		ep := math.Exp((c - maxC) / gamma)
-		em := math.Exp((minC - c) / gamma)
-		sp += ep
-		tp += c * ep
-		sm += em
-		tm += c * em
+	for i, c := range coords {
+		ep[i] = math.Exp((c - maxC) / gamma)
+		em[i] = math.Exp((minC - c) / gamma)
+		sp += ep[i]
+		tp += c * ep[i]
+		sm += em[i]
+		tm += c * em[i]
 	}
 	waMax := tp / sp
 	waMin := tm / sm
 	if wantGrad {
 		for i, c := range coords {
-			ep := math.Exp((c - maxC) / gamma)
-			em := math.Exp((minC - c) / gamma)
-			dMax := (ep / sp) * (1 + (c-waMax)/gamma)
-			dMin := (em / sm) * (1 - (c-waMin)/gamma)
+			dMax := (ep[i] / sp) * (1 + (c-waMax)/gamma)
+			dMin := (em[i] / sm) * (1 - (c-waMin)/gamma)
 			grad[i] = dMax - dMin
 		}
 	}
@@ -322,8 +327,9 @@ func waAxis(coords, grad []float64, gamma float64, wantGrad bool) float64 {
 }
 
 // lseAxis computes the LSE approximation gamma·(ln Σe^{x/γ} + ln Σe^{-x/γ}),
-// with exp-shift for numerical stability.
-func lseAxis(coords, grad []float64, gamma float64, wantGrad bool) float64 {
+// with exp-shift for numerical stability. Like waAxis, it keeps each pin's
+// exponentials in ep/em between the value and gradient passes.
+func lseAxis(coords, grad, ep, em []float64, gamma float64, wantGrad bool) float64 {
 	if len(coords) == 0 {
 		return 0
 	}
@@ -333,16 +339,16 @@ func lseAxis(coords, grad []float64, gamma float64, wantGrad bool) float64 {
 		minC = math.Min(minC, c)
 	}
 	var sp, sm float64
-	for _, c := range coords {
-		sp += math.Exp((c - maxC) / gamma)
-		sm += math.Exp((minC - c) / gamma)
+	for i, c := range coords {
+		ep[i] = math.Exp((c - maxC) / gamma)
+		em[i] = math.Exp((minC - c) / gamma)
+		sp += ep[i]
+		sm += em[i]
 	}
 	val := maxC + gamma*math.Log(sp) - (minC - gamma*math.Log(sm))
 	if wantGrad {
-		for i, c := range coords {
-			ep := math.Exp((c-maxC)/gamma) / sp
-			em := math.Exp((minC-c)/gamma) / sm
-			grad[i] = ep - em
+		for i := range coords {
+			grad[i] = ep[i]/sp - em[i]/sm
 		}
 	}
 	return val
