@@ -1,7 +1,8 @@
 // Command trace analyzes the JSONL convergence traces written by
 // cmd/placer -trace, cmd/bench -trace-dir, and the placerd event stream:
-// per-solver convergence summaries, per-stage time attribution, SA
-// acceptance curves, structural validation, and A-vs-B regression diffs.
+// per-solver convergence summaries, per-stage and per-kernel time
+// attribution, SA acceptance curves, structural validation, and A-vs-B
+// regression diffs.
 //
 // Usage:
 //
@@ -118,13 +119,32 @@ func printReport(w io.Writer, rep *analyze.Report) {
 		stages := append([]analyze.Stage(nil), rep.Stages...)
 		sort.Slice(stages, func(i, j int) bool { return stages[i].SelfMS > stages[j].SelfMS })
 		for _, s := range stages {
-			share := 0.0
-			if rep.WallMS > 0 {
-				share = 100 * s.SelfMS / rep.WallMS
-			}
-			fmt.Fprintf(w, "    %-32s %10.3f s %6.1f%%  (%d span)\n", s.Path, s.SelfMS/1e3, share, s.Count)
+			fmt.Fprintf(w, "    %-32s %10.3f s %6.1f%%  (%d span)\n", s.Path, s.SelfMS/1e3, share(s.SelfMS, rep.WallMS), s.Count)
 		}
 	}
+	if len(rep.Kernels) > 0 {
+		fmt.Fprintf(w, "  kernels (total time):\n")
+		names := make([]string, 0, len(rep.Kernels))
+		for k := range rep.Kernels {
+			names = append(names, k)
+		}
+		sort.Slice(names, func(i, j int) bool {
+			a, b := rep.Kernels[names[i]], rep.Kernels[names[j]]
+			return a.TotalMS > b.TotalMS || a.TotalMS == b.TotalMS && names[i] < names[j]
+		})
+		for _, k := range names {
+			st := rep.Kernels[k]
+			fmt.Fprintf(w, "    %-32s %10.3f ms %5.1f%%  (%d calls)\n", k, st.TotalMS, share(st.TotalMS, rep.WallMS), st.Count)
+		}
+	}
+}
+
+// share is ms as a percentage of the run's wall time (0 without one).
+func share(ms, wallMS float64) float64 {
+	if wallMS <= 0 {
+		return 0
+	}
+	return 100 * ms / wallMS
 }
 
 func runDiff(args []string, stdout, stderr io.Writer) int {

@@ -18,27 +18,34 @@ func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestSummaryGolden pins the human-readable summary of a committed real
-// placer trace (cmd/placer -circuit Adder -method prev -seed 1 -trace ...).
+// TestSummaryGolden pins the human-readable summaries of committed real
+// placer traces: prev_adder (cmd/placer -circuit Adder -method prev -seed 1
+// -trace ...), which predates kernel timing, and eplace_adder (the same
+// with -method eplace-a, trimmed to its spans, gauges, first and last
+// eplace-gp iterations and summary), whose summary carries kernel totals.
 // The output is a pure function of the trace file, so it is byte-stable.
 func TestSummaryGolden(t *testing.T) {
-	fixture := filepath.Join("testdata", "prev_adder.jsonl")
-	golden := filepath.Join("testdata", "prev_adder.golden")
-	code, stdout, stderr := runCmd(t, "summary", fixture)
-	if code != 0 {
-		t.Fatalf("summary exited %d: %s", code, stderr)
-	}
-	if *update {
-		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if stdout != string(want) {
-		t.Errorf("summary output drifted from golden.\n--- got ---\n%s--- want ---\n%s", stdout, want)
+	for _, name := range []string{"prev_adder", "eplace_adder"} {
+		t.Run(name, func(t *testing.T) {
+			fixture := filepath.Join("testdata", name+".jsonl")
+			golden := filepath.Join("testdata", name+".golden")
+			code, stdout, stderr := runCmd(t, "summary", fixture)
+			if code != 0 {
+				t.Fatalf("summary exited %d: %s", code, stderr)
+			}
+			if *update {
+				if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if stdout != string(want) {
+				t.Errorf("summary output drifted from golden.\n--- got ---\n%s--- want ---\n%s", stdout, want)
+			}
+		})
 	}
 }
 
@@ -63,6 +70,20 @@ func TestSummaryJSON(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("JSON report missing %s", want)
 		}
+	}
+	if strings.Contains(stdout, `"kernels"`) {
+		t.Error("JSON report of a kernel-less trace has a kernels block")
+	}
+
+	code, stdout, _ = runCmd(t, "summary", "-json", filepath.Join("testdata", "eplace_adder.jsonl"))
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	want := `"kernels": {
+    "density_raster": {
+      "count": 5579,`
+	if !strings.Contains(stdout, want) {
+		t.Errorf("JSON report missing kernel totals %q:\n%s", want, stdout)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/netio"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
 	"repro/internal/prevwork"
@@ -129,14 +128,16 @@ type Options struct {
 	// Refine, when non-nil, appends the ILP large-neighborhood refinement
 	// stage (internal/refine) to any method: small windows of the legal
 	// result are re-solved exactly and kept only when they improve. The
-	// stage's Tracer/Metrics default to this run's. The refined placement
+	// stage's Tracer defaults to this run's. The refined placement
 	// is never worse than the unrefined one in HPWL or area.
 	Refine *refine.Options
 
 	// Tracer, when non-nil, wraps the flow in a "place" span and is
 	// threaded into every stage (global placement, annealing, detailed
-	// placement), whose packages emit their own spans and per-iteration
-	// events. Per-stage overrides that already carry a tracer keep it.
+	// placement), whose packages emit their own spans, per-iteration
+	// events and kernel timings. A sink such as metrics.SpanSink turns
+	// those into production aggregates. Per-stage overrides that already
+	// carry a tracer keep it.
 	Tracer *obs.Tracer
 
 	// Threads sets the worker count for the parallel placement kernels
@@ -151,21 +152,12 @@ type Options struct {
 	// Pool, when non-nil, is a caller-owned worker pool used instead of
 	// creating one per call: a long-running service sizes one pool to the
 	// machine and shares it across every concurrent placement (par.Pool
-	// supports concurrent Run calls). The flow neither closes a caller
-	// pool nor installs its timing observer on it — lifecycle and
-	// observation stay with the owner — and Threads is ignored while Pool
-	// is set. Placement bits are identical either way: deterministic
-	// sharding keys off the problem size, not the pool.
+	// supports concurrent Run calls). The flow never closes a caller
+	// pool — lifecycle and timing observers stay with the owner — and
+	// Threads is ignored while Pool is set. Placement bits are identical
+	// either way: deterministic sharding keys off the problem size, not
+	// the pool.
 	Pool *par.Pool
-
-	// Metrics, when non-nil, receives production aggregates for the run:
-	// per-kernel duration histograms (placer_kernel_seconds, labeled by
-	// method, circuit-size class, and kernel) and parallel-shard skew from
-	// the worker pool (par_run_seconds, par_shard_skew_ratio). Like the
-	// tracer it is observation-only — metered runs are byte-identical to
-	// unmetered ones at the same seed — and nil costs a pointer check.
-	// Per-stage overrides that already carry a Metrics registry keep it.
-	Metrics *metrics.Registry
 
 	// WarmStart, when non-nil, runs the flow as an incremental (ECO)
 	// re-solve against a prior placement: the netlist diff
@@ -253,9 +245,7 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 	start := time.Now()
 	placeSpan := opt.Tracer.StartSpan("place")
 	defer placeSpan.End()
-	size := metrics.SizeClass(len(n.Devices))
-	r := &run{ctx: ctx, n: n, opt: opt, pool: opt.Pool, res: &Result{Method: method},
-		labels: []string{"method", method.ShortName(), "size", size}}
+	r := &run{ctx: ctx, n: n, opt: opt, pool: opt.Pool, res: &Result{Method: method}}
 	if r.pool == nil {
 		threads := opt.Threads
 		if threads == 0 {
@@ -265,11 +255,6 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 		// Either way the placement bits are independent of the choice.
 		r.pool = par.NewPool(threads)
 		defer r.pool.Close()
-		// The timing observer is installed only on pools this call created:
-		// SetTimingFunc is an install-before-first-Run API, so a shared
-		// pool's observer belongs to its owner, not to an individual
-		// placement.
-		InstallPoolMetrics(r.pool, opt.Metrics, method.ShortName(), size)
 	}
 	if opt.WarmStart != nil {
 		w, err := buildWarmPlan(n, opt.WarmStart)
@@ -320,28 +305,24 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 
 // run is one PlaceCtx call's resolved state, shared by its stages.
 type run struct {
-	ctx    context.Context
-	n      *circuit.Netlist
-	opt    Options
-	pool   *par.Pool
-	labels []string // metric labels: method and circuit-size class
-	warm   *warmPlan
-	res    *Result
+	ctx  context.Context
+	n    *circuit.Netlist
+	opt  Options
+	pool *par.Pool
+	warm *warmPlan
+	res  *Result
 }
 
 // shared points at a per-stage override's fields that default to the
 // run's; a stage leaves out the fields its options lack.
 type shared struct {
-	seed    *int64
-	tracer  **obs.Tracer
-	pool    **par.Pool
-	metrics **metrics.Registry
-	labels  *[]string
+	seed   *int64
+	tracer **obs.Tracer
+	pool   **par.Pool
 }
 
 // inherit fills a per-stage override's unset shared fields: a zero seed
-// takes Options.Seed, a nil tracer or pool the run's, and a nil registry
-// Options.Metrics together with the run's metric labels.
+// takes Options.Seed, and a nil tracer or pool the run's.
 func (r *run) inherit(f shared) {
 	if f.seed != nil && *f.seed == 0 {
 		*f.seed = r.opt.Seed
@@ -351,9 +332,6 @@ func (r *run) inherit(f shared) {
 	}
 	if f.pool != nil && *f.pool == nil {
 		*f.pool = r.pool
-	}
-	if f.metrics != nil && *f.metrics == nil {
-		*f.metrics, *f.labels = r.opt.Metrics, r.labels
 	}
 }
 
@@ -401,8 +379,7 @@ func (r *run) placeSA() error {
 // LP detailed placement.
 func (r *run) placePrev() error {
 	gpOpt := override(r.opt.Prev)
-	r.inherit(shared{seed: &gpOpt.Seed, tracer: &gpOpt.Tracer,
-		pool: &gpOpt.Pool, metrics: &gpOpt.Metrics, labels: &gpOpt.MetricsLabels})
+	r.inherit(shared{seed: &gpOpt.Seed, tracer: &gpOpt.Tracer, pool: &gpOpt.Pool})
 	if r.warm != nil {
 		gpOpt.Warm = r.warm.gp(r.opt.WarmStart)
 	}
@@ -435,8 +412,7 @@ func (r *run) placeEPlaceA() error {
 		}
 	}
 	baseGP := override(opt.GP)
-	r.inherit(shared{seed: &baseGP.Seed, tracer: &baseGP.Tracer,
-		pool: &baseGP.Pool, metrics: &baseGP.Metrics, labels: &baseGP.MetricsLabels})
+	r.inherit(shared{seed: &baseGP.Seed, tracer: &baseGP.Tracer, pool: &baseGP.Pool})
 	if opt.AreaWeight > 0 {
 		baseGP.AreaWeight = opt.AreaWeight
 	}
@@ -568,7 +544,7 @@ func (r *run) dpOptions(mode detailed.Mode) detailed.Options {
 // refineStage runs ILP window refinement on the current placement and
 // adds its counts to the result.
 func (r *run) refineStage(ro refine.Options) error {
-	r.inherit(shared{tracer: &ro.Tracer, metrics: &ro.Metrics, labels: &ro.MetricsLabels})
+	r.inherit(shared{tracer: &ro.Tracer})
 	p, stats, err := refine.Refine(r.ctx, r.n, r.res.Placement, ro)
 	if err != nil {
 		return err
@@ -578,38 +554,6 @@ func (r *run) refineStage(ro refine.Options) error {
 	r.res.RefineWindows += stats.Windows
 	r.res.RefineAccepts += stats.Accepts
 	return nil
-}
-
-// skewBuckets spans the shard-skew ratio (max-min)/max in [0, 1): healthy
-// kernels sit in the first few buckets, a shard starving its siblings lands
-// near 1.
-var skewBuckets = []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
-
-// InstallPoolMetrics installs the par kernel-timing observer on a pool,
-// feeding the same par_run_seconds / par_shard_skew_ratio families PlaceCtx
-// meters on pools it creates itself. It is for owners of shared pools
-// (Options.Pool): call once, before the pool's first Run, per
-// par.SetTimingFunc's contract. A pool serving every method and circuit
-// size at once conventionally labels with method="all", size="all" —
-// per-run attribution is impossible on a shared pool, the aggregate view
-// is the point. Nil pool or registry is a no-op.
-func InstallPoolMetrics(pool *par.Pool, reg *metrics.Registry, method, size string) {
-	if pool == nil || reg == nil {
-		return
-	}
-	labels := []string{"method", method, "size", size}
-	wallH := reg.Histogram("par_run_seconds",
-		"Wall time of one parallel kernel dispatch (internal/par Run).",
-		metrics.KernelBuckets, labels...)
-	skewH := reg.Histogram("par_shard_skew_ratio",
-		"Per-Run shard timing skew, (max-min)/max shard duration; persistent skew means a kernel's grain is mis-sized.",
-		skewBuckets, labels...)
-	pool.SetTimingFunc(func(rt par.RunTiming) {
-		wallH.Observe(rt.Wall.Seconds())
-		if rt.MaxShard > 0 {
-			skewH.Observe(float64(rt.MaxShard-rt.MinShard) / float64(rt.MaxShard))
-		}
-	})
 }
 
 // perfExtra adapts a PerfTerm into the analytical GP extra-objective hook,

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/metrics"
+	"repro/internal/refine"
 	"repro/internal/testcircuits"
 )
 
@@ -23,25 +27,47 @@ func TestShortNameRoundTrips(t *testing.T) {
 // TestMeteringIsObservationOnly checks a metered run and an unmetered run at
 // the same seed produce identical placements — the metrics registry, like
 // the tracer, must never perturb the optimization — and that the analytical
-// methods actually feed the kernel histograms.
+// methods actually feed the kernel histograms. The registry is attached the
+// way placerd attaches it: as a metrics.SpanSink on the run's tracer. Each
+// method times exactly its own kernels, and every kernel call the tracer
+// summarizes is one placer_kernel_seconds observation.
 func TestMeteringIsObservationOnly(t *testing.T) {
 	c, err := testcircuits.ByName("Adder")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{MethodSA, MethodPrev, MethodEPlaceA} {
-		plain, err := Place(c.Netlist, m, Options{Seed: 3, SA: fastSA(3)})
+	cases := []struct {
+		name    string
+		method  Method
+		refine  bool
+		kernels []string // sorted
+	}{
+		{"sa", MethodSA, false, nil},
+		{"prev", MethodPrev, false, []string{"density_grad", "density_raster", "wl_grad"}},
+		{"eplace-a", MethodEPlaceA, false, []string{"density_raster", "field_sample", "poisson_solve", "wl_grad"}},
+		{"eplace-a+refine", MethodEPlaceA, true,
+			[]string{"density_raster", "field_sample", "poisson_solve", "refine_window", "wl_grad"}},
+	}
+	for _, tc := range cases {
+		m := tc.method
+		opt := Options{Seed: 3, SA: fastSA(3)}
+		if tc.refine {
+			opt.Refine = &refine.Options{}
+		}
+		plain, err := Place(c.Netlist, m, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		reg := metrics.New()
-		metered, err := Place(c.Netlist, m, Options{Seed: 3, SA: fastSA(3), Metrics: reg})
+		opt.Tracer = obs.New(metrics.NewSpanSink(reg, "stage_seconds",
+			"method", m.ShortName(), "size", metrics.SizeClass(len(c.Netlist.Devices))))
+		metered, err := Place(c.Netlist, m, opt)
 		if err != nil {
-			t.Fatalf("%v metered: %v", m, err)
+			t.Fatalf("%s metered: %v", tc.name, err)
 		}
 		for i := range plain.Placement.X {
 			if plain.Placement.X[i] != metered.Placement.X[i] || plain.Placement.Y[i] != metered.Placement.Y[i] {
-				t.Errorf("%v: device %d moved under metering: (%g,%g) vs (%g,%g)", m, i,
+				t.Errorf("%s: device %d moved under metering: (%g,%g) vs (%g,%g)", tc.name, i,
 					plain.Placement.X[i], plain.Placement.Y[i],
 					metered.Placement.X[i], metered.Placement.Y[i])
 				break
@@ -50,22 +76,60 @@ func TestMeteringIsObservationOnly(t *testing.T) {
 
 		var out strings.Builder
 		if err := reg.WritePrometheus(&out); err != nil {
-			t.Fatalf("%v: WritePrometheus: %v", m, err)
+			t.Fatalf("%s: WritePrometheus: %v", tc.name, err)
 		}
 		text := out.String()
+		kernels := opt.Tracer.Summary().Kernels
 		if m == MethodSA {
 			// SA has no GP kernels; nothing must have been registered.
-			if strings.Contains(text, "placer_kernel_seconds") {
-				t.Errorf("%v: unexpected kernel series:\n%s", m, text)
+			if strings.Contains(text, "placer_kernel_seconds") || len(kernels) != 0 {
+				t.Errorf("%s: unexpected kernels %v, series:\n%s", tc.name, kernels, text)
 			}
 			continue
 		}
-		wl := metrics.KernelHistogram(reg, []string{"method", m.ShortName(), "size", metrics.SizeClass(len(c.Netlist.Devices))}, "wl_grad")
-		if wl.Count() == 0 {
-			t.Errorf("%v: wl_grad histogram never observed; exposition:\n%s", m, text)
+		counts := kernelCounts(t, text)
+		if counts["wl_grad"] == 0 {
+			t.Errorf("%s: wl_grad histogram never observed; exposition:\n%s", tc.name, text)
 		}
 		if !strings.Contains(text, `placer_kernel_seconds_bucket{method="`+m.ShortName()+`"`) {
-			t.Errorf("%v: no kernel bucket series in exposition:\n%s", m, text)
+			t.Errorf("%s: no kernel bucket series in exposition:\n%s", tc.name, text)
+		}
+		var names []string
+		for k := range kernels {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		if strings.Join(names, ",") != strings.Join(tc.kernels, ",") {
+			t.Errorf("%s: summary kernels %v, want %v", tc.name, names, tc.kernels)
+		}
+		if len(counts) != len(kernels) {
+			t.Errorf("%s: %d kernel series, %d summarized kernels", tc.name, len(counts), len(kernels))
+		}
+		for k, st := range kernels {
+			if counts[k] != st.Count {
+				t.Errorf("%s: kernel %s: summary counts %d calls, placer_kernel_seconds %d",
+					tc.name, k, st.Count, counts[k])
+			}
 		}
 	}
+}
+
+// kernelCounts reads each kernel's placer_kernel_seconds_count from a
+// Prometheus exposition.
+func kernelCounts(t *testing.T, text string) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "placer_kernel_seconds_count{") {
+			continue
+		}
+		_, rest, _ := strings.Cut(line, `kernel="`)
+		name, _, _ := strings.Cut(rest, `"`)
+		n, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("bad count line %q: %v", line, err)
+		}
+		out[name] = n
+	}
+	return out
 }

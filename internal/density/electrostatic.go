@@ -7,12 +7,11 @@ package density
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/fft"
 	"repro/internal/geom"
-	"repro/internal/obs/metrics"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -82,19 +81,9 @@ type Electrostatic struct {
 	wvTab    []float64
 	scaleTab []float64
 
-	// Per-call duration histograms for the three hot kernels, installed
-	// with SetTimers. All nil by default: untimed calls pay one pointer
-	// check (the obs/metrics zero-cost-when-nil contract).
-	rasterH, solveH, fieldH *metrics.Histogram
-}
-
-// SetTimers installs per-call duration histograms for the grid's three
-// kernels: ρ rasterization (Update's accumulate pass), the spectral
-// Poisson solve (Update's transform pass), and field sampling (AddGrad).
-// Timing is observation-only — it cannot change a single result bit — and
-// any handle may be nil to skip that kernel.
-func (g *Electrostatic) SetTimers(raster, solve, field *metrics.Histogram) {
-	g.rasterH, g.solveH, g.fieldH = raster, solve, field
+	// Tracer, when non-nil, times the grid's kernels: density_raster and
+	// poisson_solve (Update's two passes) and field_sample (AddGrad).
+	Tracer *obs.Tracer
 }
 
 // NewElectrostatic creates an m×m electrostatic grid (m a power of two)
@@ -231,17 +220,12 @@ func binRange(a, b, o, s float64, m int) (int, int) {
 // Update rebuilds the density field from placement p and re-solves the
 // Poisson system, refreshing ψ and ξ.
 func (g *Electrostatic) Update(n *circuit.Netlist, p *circuit.Placement) {
-	if g.rasterH == nil && g.solveH == nil {
-		g.accumulate(n, p)
-		g.solve()
-		return
-	}
-	t0 := time.Now()
+	t0 := g.Tracer.Now()
 	g.accumulate(n, p)
-	t1 := time.Now()
-	g.rasterH.Observe(t1.Sub(t0).Seconds())
+	g.Tracer.Kernel("density_raster", t0)
+	t1 := g.Tracer.Now()
 	g.solve()
-	g.solveH.Observe(time.Since(t1).Seconds())
+	g.Tracer.Kernel("poisson_solve", t1)
 }
 
 // accumulate rasterizes the inflated device footprints into the ρ bins.
@@ -510,19 +494,14 @@ func (g *Electrostatic) Energy() float64 {
 // Each device writes only its own gradient entry, so the device shards
 // run on the pool with no reduction step.
 func (g *Electrostatic) AddGrad(n *circuit.Netlist, p *circuit.Placement, gradX, gradY []float64) {
-	var t0 time.Time
-	if g.fieldH != nil {
-		t0 = time.Now()
-	}
+	t0 := g.Tracer.Now()
 	nd := len(n.Devices)
 	shards := par.ShardCount(nd, devGrain)
 	g.pool.Run(shards, func(s int) {
 		lo, hi := par.ShardRange(nd, shards, s)
 		g.addGradRange(n, p, gradX, gradY, lo, hi)
 	})
-	if g.fieldH != nil {
-		g.fieldH.Observe(time.Since(t0).Seconds())
-	}
+	g.Tracer.Kernel("field_sample", t0)
 }
 
 // addGradRange samples the field for devices [lo, hi).

@@ -19,7 +19,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nlopt"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/par"
 	"repro/internal/wl"
 )
@@ -75,8 +74,10 @@ type Options struct {
 	// Tracer, when non-nil, wraps the run in a "gp" span and emits one
 	// "eplace-gp" iteration event per Nesterov iteration (objective, exact
 	// HPWL, overflow, λ, symmetry penalty, and per-term gradient norms)
-	// alongside the underlying solver's own events. Telemetry is
-	// observation-only; a nil Tracer costs one pointer check.
+	// alongside the underlying solver's own events, and times the GP
+	// kernels (wl_grad, density_raster, poisson_solve, field_sample; see
+	// obs.Tracer.Kernel). Telemetry is observation-only; a nil Tracer
+	// costs one pointer check.
 	Tracer *obs.Tracer
 
 	// Pool, when non-nil, parallelizes the wirelength-gradient, density
@@ -86,17 +87,6 @@ type Options struct {
 	// bit-identical to a nil Pool at any worker count (deterministic
 	// sharding; see internal/par). The caller owns the pool's lifetime.
 	Pool *par.Pool
-
-	// Metrics, when non-nil, receives per-call duration histograms for
-	// the GP hot-path kernels (placer_kernel_seconds: wl_grad,
-	// density_raster, poisson_solve, field_sample), labeled with
-	// MetricsLabels plus a "kernel" label. Like the tracer, metering is
-	// observation-only and costs one pointer check when off.
-	Metrics *metrics.Registry
-	// MetricsLabels are constant key, value pairs stamped on every kernel
-	// series; every caller of one registry must pass the same key set
-	// (core passes method and circuit-size class).
-	MetricsLabels []string
 
 	// Warm, when non-nil, turns the run into an incremental (ECO)
 	// re-solve: device coordinates start from a prior placement and
@@ -255,13 +245,7 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra E
 	}
 	wlEv := wl.NewEvaluatorPool(n, smoother, 4*binW, opt.Pool)
 	areaEv := wl.NewAreaEvaluator(n, 4*binW)
-	if opt.Metrics != nil {
-		grid.SetTimers(
-			metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "density_raster"),
-			metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "poisson_solve"),
-			metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "field_sample"))
-		wlEv.SetTimer(metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "wl_grad"))
-	}
+	grid.Tracer, wlEv.Tracer = opt.Tracer, opt.Tracer
 
 	// Initial placement: devices gathered at the region center with a small
 	// deterministic jitter (the standard ePlace start).

@@ -1,10 +1,10 @@
 // Package analyze reads the JSONL convergence traces the obs file sink
 // writes (one obs.Event per line) and turns them into comparable reports:
-// per-solver convergence curves, per-stage time attribution, SA acceptance
-// trajectories, and an A-vs-B diff with regression thresholds. cmd/trace is
-// the CLI over this package; CI runs it over the bench-smoke artifacts so a
-// malformed trace or a quality/runtime regression fails the build instead
-// of landing silently.
+// per-solver convergence curves, per-stage time attribution, per-kernel
+// totals, SA acceptance trajectories, and an A-vs-B diff with regression
+// thresholds. cmd/trace is the CLI over this package; CI runs it over the
+// bench-smoke artifacts so a malformed trace or a quality/runtime
+// regression fails the build instead of landing silently.
 package analyze
 
 import (
@@ -185,6 +185,8 @@ type Report struct {
 	Stages []Stage  `json:"stages,omitempty"` // sorted by path
 	SA     *SAStats `json:"sa,omitempty"`
 
+	Kernels map[string]obs.SpanStat `json:"kernels,omitempty"` // per-kernel calls and total ms
+
 	Counters map[string]float64 `json:"counters,omitempty"`
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
 	LPSolves int                `json:"lp_solves,omitempty"`
@@ -258,6 +260,7 @@ func Summarize(t *Trace) *Report {
 		rep.Counters = t.Summary.Counters
 		rep.Gauges = t.Summary.Gauges
 		rep.Stages = stageTimes(t.Summary.Spans)
+		rep.Kernels = t.Summary.Kernels
 	}
 	return rep
 }

@@ -17,7 +17,7 @@ const goodTrace = `{"ts":0,"kind":"span_start","span":"place"}
 {"ts":0.64,"kind":"sa","span":"place","sa":{"restart":0,"move":200,"temp":1,"accept_rate":0.2,"cur":66,"best":65}}
 {"ts":0.7,"kind":"lp","span":"place","lp":{"solver":"ilp","rows":3,"cols":4,"nodes":7,"obj":1,"status":"optimal"}}
 {"ts":0.9,"kind":"span_end","span":"place","dur_ms":900}
-{"ts":0.91,"kind":"summary","summary":{"spans":{"place":{"count":1,"total_ms":900},"place/gp":{"count":1,"total_ms":599}},"events":11,"wall_ms":910}}
+{"ts":0.91,"kind":"summary","summary":{"spans":{"place":{"count":1,"total_ms":900},"place/gp":{"count":1,"total_ms":599}},"kernels":{"wl_grad":{"count":4,"total_ms":12.5}},"events":11,"wall_ms":910}}
 `
 
 func parse(t *testing.T, s string) *Trace {
@@ -115,6 +115,9 @@ func TestSummarize(t *testing.T) {
 	}
 	if got := stages["place/gp"].SelfMS; got != 599 {
 		t.Errorf("gp self = %g, want 599", got)
+	}
+	if got, want := rep.Kernels["wl_grad"], (obs.SpanStat{Count: 4, TotalMS: 12.5}); len(rep.Kernels) != 1 || got != want {
+		t.Errorf("kernels %+v, want wl_grad %+v", rep.Kernels, want)
 	}
 }
 

@@ -5,9 +5,11 @@
 // It complements internal/obs: the tracer answers "what did this one run
 // do" (a complete event log), the registry answers "what is this process
 // doing" (cheap aggregates a scraper polls). The placement service keeps
-// one Registry for its whole lifetime; solvers feed it per-stage duration
-// histograms so latency distributions — not just totals — are visible per
-// method, circuit-size class, and pipeline stage.
+// one Registry for its whole lifetime and attaches a SpanSink to each
+// job's tracer, so the solvers' stage spans and kernel timings become
+// latency distributions — not just totals — per method, circuit-size
+// class, pipeline stage and kernel, without any solver importing this
+// package.
 //
 // Design constraints, in order:
 //
@@ -20,8 +22,8 @@
 //  2. Allocation-free hot path. Handles are resolved once (name + label
 //     values interned under the registry lock); after that, Counter.Add,
 //     Gauge.Set, and Histogram.Observe touch only atomics — no maps, no
-//     locks, no allocation — so per-iteration solver kernels can record
-//     timings without disturbing the run they measure.
+//     locks, no allocation — so per-call kernel timings can be recorded
+//     without disturbing the run they measure.
 //  3. Deterministic exposition. Families are sorted by name and series by
 //     label values, so two scrapes of identical state render identical
 //     bytes (golden-testable).
@@ -310,36 +312,8 @@ var KernelBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
 }
 
-// KernelHistogram resolves one series of the shared placer_kernel_seconds
-// family: per-call latency of a named hot-path kernel, labeled with the
-// caller's constant labels plus "kernel". Centralized so every solver
-// publishes into one family with one help string and one key set (a
-// registry rejects mismatched reuse). A nil registry returns a nil, no-op
-// handle.
-func KernelHistogram(r *Registry, labels []string, kernel string) *Histogram {
-	return r.Histogram("placer_kernel_seconds",
-		"Per-call latency of the placement hot-path kernels.",
-		KernelBuckets,
-		append(append([]string(nil), labels...), "kernel", kernel)...)
-}
-
-// ExpBuckets returns n ascending buckets starting at start, each factor
-// times the previous — the standard way to build a custom latency layout.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // SizeClass buckets a device count into the coarse circuit-size label the
-// service and solvers share ("xs" ≤ 32, "s" ≤ 128, "m" ≤ 512, "l" ≤ 2048,
+// service stamps on its series ("xs" ≤ 32, "s" ≤ 128, "m" ≤ 512, "l" ≤ 2048,
 // "xl" above). Coarse on purpose: label cardinality is a product, and a
 // scraper can always sum classes away.
 func SizeClass(devices int) string {

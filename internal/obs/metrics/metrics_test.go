@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -99,6 +100,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	s := NewSpanSink(r, "x")
 	s.Emit(obs.Event{Kind: obs.KindSpanEnd, Span: "place/gp", DurMS: 10})
+	s.Kernel("wl_grad", time.Millisecond)
 }
 
 // TestHandleReuseValidation: a name reused with a different type, label
@@ -167,6 +169,11 @@ func TestObserveAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { g.Set(3) }); n != 0 {
 		t.Errorf("Gauge.Set allocates %.1f per call, want 0", n)
 	}
+	s := NewSpanSink(r, "stage_seconds", "method", "eplace-a")
+	s.Kernel("wl_grad", time.Millisecond)
+	if n := testing.AllocsPerRun(1000, func() { s.Kernel("wl_grad", time.Millisecond) }); n != 0 {
+		t.Errorf("SpanSink.Kernel allocates %.1f per call, want 0", n)
+	}
 }
 
 // BenchmarkHistogramObserve is the CI-visible form of the allocation-free
@@ -222,6 +229,35 @@ func TestSpanSinkBridgesSpanEnds(t *testing.T) {
 	}
 }
 
+// TestSpanSinkObservesKernels checks tracer kernel calls land in
+// placer_kernel_seconds under the sink's labels plus "kernel", one
+// observation per call, while writing no stage series.
+func TestSpanSinkObservesKernels(t *testing.T) {
+	r := New()
+	trc := obs.New(NewSpanSink(r, "stage_seconds", "method", "prev", "size", "xs"))
+	for _, k := range []string{"wl_grad", "density_grad", "wl_grad"} {
+		trc.Kernel(k, time.Now())
+	}
+	trc.Close()
+
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"# HELP placer_kernel_seconds Per-call latency of the placement hot-path kernels.\n",
+		`placer_kernel_seconds_bucket{method="prev",size="xs",kernel="wl_grad",le="1e-05"} `,
+		`placer_kernel_seconds_count{method="prev",size="xs",kernel="wl_grad"} 2`,
+		`placer_kernel_seconds_count{method="prev",size="xs",kernel="density_grad"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "stage_seconds") {
+		t.Errorf("kernel calls produced stage series:\n%s", out)
+	}
+}
+
 func TestStageName(t *testing.T) {
 	cases := map[string]string{
 		"place/gp":                "gp",
@@ -243,16 +279,6 @@ func TestSizeClass(t *testing.T) {
 	for n, want := range cases {
 		if got := SizeClass(n); got != want {
 			t.Errorf("SizeClass(%d) = %q, want %q", n, got, want)
-		}
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(0.5, 2, 4)
-	want := []float64{0.5, 1, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
 		}
 	}
 }

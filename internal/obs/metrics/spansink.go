@@ -2,17 +2,20 @@ package metrics
 
 import (
 	"strings"
+	"time"
 
 	"repro/internal/obs"
 )
 
-// SpanSink bridges a run's obs span events into a Registry: every span_end
+// SpanSink bridges a run's obs telemetry into a Registry: every span_end
 // becomes one Observe on a per-stage duration histogram, labeled with the
 // stage name plus whatever constant labels the sink was built with (the
-// service uses method and circuit-size class). Attached alongside a job's
+// service uses method and circuit-size class), and every obs.Tracer.Kernel
+// call one Observe on placer_kernel_seconds, labeled with the same
+// constant labels plus the kernel name. Attached alongside a job's
 // streaming sink, it turns the tracer's existing spans — place, gp, sa,
-// detailed, refine passes — into scrapeable latency distributions without
-// the solvers knowing the registry exists.
+// detailed, refine passes — and kernel timings into scrapeable latency
+// distributions without the solvers knowing the registry exists.
 //
 // Stage names are normalized to bound label cardinality: only the last
 // path segment is kept, and a trailing "-<digits>" enumeration (refine-1)
@@ -22,7 +25,8 @@ type SpanSink struct {
 	name   string
 	labels []string
 
-	hists map[string]*Histogram // per normalized stage, resolved lazily
+	hists   map[string]*Histogram // per normalized stage, resolved lazily
+	kernels map[string]*Histogram // per kernel name, resolved lazily
 }
 
 // NewSpanSink returns a sink observing span durations into registry r as
@@ -30,7 +34,8 @@ type SpanSink struct {
 // (key, value pairs) plus a "stage" label. A nil registry yields a sink
 // that drops everything, preserving the zero-cost-when-nil contract.
 func NewSpanSink(r *Registry, name string, labels ...string) *SpanSink {
-	return &SpanSink{reg: r, name: name, labels: labels, hists: map[string]*Histogram{}}
+	return &SpanSink{reg: r, name: name, labels: labels,
+		hists: map[string]*Histogram{}, kernels: map[string]*Histogram{}}
 }
 
 // Emit observes span_end durations; every other event kind is ignored.
@@ -40,14 +45,29 @@ func (s *SpanSink) Emit(e obs.Event) {
 	if s.reg == nil || e.Kind != obs.KindSpanEnd {
 		return
 	}
-	stage := StageName(e.Span)
-	h, ok := s.hists[stage]
-	if !ok {
-		h = s.reg.Histogram(s.name, "Pipeline stage wall time by span.", DefBuckets,
-			append(append([]string(nil), s.labels...), "stage", stage)...)
-		s.hists[stage] = h
+	s.series(s.hists, s.name, "Pipeline stage wall time by span.", DefBuckets,
+		"stage", StageName(e.Span)).Observe(e.DurMS / 1e3)
+}
+
+// Kernel observes one kernel call's duration (obs.KernelSink). Like Emit
+// it runs under the tracer's lock.
+func (s *SpanSink) Kernel(name string, d time.Duration) {
+	if s.reg == nil {
+		return
 	}
-	h.Observe(e.DurMS / 1e3)
+	s.series(s.kernels, "placer_kernel_seconds", "Per-call latency of the placement hot-path kernels.",
+		KernelBuckets, "kernel", name).Observe(d.Seconds())
+}
+
+// series returns the histogram labeled with the sink's labels plus
+// key=val, resolving it into cache (keyed by val) on first use.
+func (s *SpanSink) series(cache map[string]*Histogram, name, help string, buckets []float64, key, val string) *Histogram {
+	h, ok := cache[val]
+	if !ok {
+		h = s.reg.Histogram(name, help, buckets, append(append([]string(nil), s.labels...), key, val)...)
+		cache[val] = h
+	}
+	return h
 }
 
 // Close is a no-op; the registry outlives the run.

@@ -2,8 +2,8 @@
 // stdlib-only tracer that records named spans (wall-clock timings per
 // pipeline stage: global placement, legalization, detailed placement, GNN
 // training, routing), typed per-iteration solver events (Nesterov/CG
-// descent, simulated annealing, LP/ILP solves, Adam epochs), and
-// counters/gauges with a final run summary.
+// descent, simulated annealing, LP/ILP solves, Adam epochs), per-call
+// kernel timings, and counters/gauges with a final run summary.
 //
 // Events flow to pluggable sinks: a JSONL file sink for machine-readable
 // convergence traces, an in-memory sink for tests, and a human-readable
@@ -104,7 +104,8 @@ type LPRecord struct {
 	Status string  `json:"status"`
 }
 
-// SpanStat aggregates every completed span sharing one path.
+// SpanStat aggregates every completed span sharing one path, or every
+// call of one kernel.
 type SpanStat struct {
 	Count   int     `json:"count"`
 	TotalMS float64 `json:"total_ms"`
@@ -115,6 +116,7 @@ type SummaryRecord struct {
 	Counters map[string]float64  `json:"counters,omitempty"`
 	Gauges   map[string]float64  `json:"gauges,omitempty"`
 	Spans    map[string]SpanStat `json:"spans,omitempty"`
+	Kernels  map[string]SpanStat `json:"kernels,omitempty"`
 	Events   int                 `json:"events"`
 	WallMS   float64             `json:"wall_ms"`
 }
@@ -145,6 +147,12 @@ type Sink interface {
 	Close() error
 }
 
+// KernelSink is a Sink that also receives every Kernel call's duration
+// (kernel calls write no events), under the tracer's lock like Emit.
+type KernelSink interface {
+	Kernel(name string, d time.Duration)
+}
+
 // Tracer is the telemetry hub threaded through the placement pipeline. All
 // methods are safe on a nil receiver (they do nothing), which is how
 // instrumented packages run untraced at zero cost.
@@ -156,6 +164,7 @@ type Tracer struct {
 	counters  map[string]float64
 	gauges    map[string]float64
 	spanStats map[string]SpanStat
+	kernels   map[string]SpanStat
 	events    int
 }
 
@@ -169,6 +178,7 @@ func New(sinks ...Sink) *Tracer {
 		counters:  map[string]float64{},
 		gauges:    map[string]float64{},
 		spanStats: map[string]SpanStat{},
+		kernels:   map[string]SpanStat{},
 	}
 }
 
@@ -271,6 +281,38 @@ func (t *Tracer) LPEvent(r LPRecord) {
 	t.mu.Unlock()
 }
 
+// Now returns the start time for a Kernel call: time.Now(), or the zero
+// time on a nil tracer, so untraced kernels skip the clock read.
+func (t *Tracer) Now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Kernel records one call of a named hot-path kernel that began at start
+// (from Now): it adds the call to the summary's per-kernel totals and
+// passes its duration to every KernelSink. It writes no event — kernels
+// run thousands of times per solve — and allocates nothing once the
+// kernel has been seen.
+func (t *Tracer) Kernel(name string, start time.Time) {
+	if t == nil {
+		return
+	}
+	d := time.Since(start)
+	t.mu.Lock()
+	st := t.kernels[name]
+	st.Count++
+	st.TotalMS += d.Seconds() * 1e3
+	t.kernels[name] = st
+	for _, s := range t.sinks {
+		if k, ok := s.(KernelSink); ok {
+			k.Kernel(name, d)
+		}
+	}
+	t.mu.Unlock()
+}
+
 // Count adds delta to a named counter. Counters are reported only in the
 // final summary, so counting in hot loops writes no events.
 func (t *Tracer) Count(name string, delta float64) {
@@ -309,6 +351,7 @@ func (t *Tracer) summaryLocked() SummaryRecord {
 		Counters: map[string]float64{},
 		Gauges:   map[string]float64{},
 		Spans:    map[string]SpanStat{},
+		Kernels:  map[string]SpanStat{},
 		Events:   t.events,
 		WallMS:   time.Since(t.start).Seconds() * 1e3,
 	}
@@ -320,6 +363,9 @@ func (t *Tracer) summaryLocked() SummaryRecord {
 	}
 	for k, v := range t.spanStats {
 		s.Spans[k] = v
+	}
+	for k, v := range t.kernels {
+		s.Kernels[k] = v
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -184,11 +185,100 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.LPEvent(LPRecord{})
 	tr.Count("x", 1)
 	tr.Gauge("x", 1)
+	tr.Kernel("x", time.Now())
 	if s := tr.Summary(); s.Events != 0 {
 		t.Errorf("nil tracer summary has %d events", s.Events)
 	}
 	if err := tr.Close(); err != nil {
 		t.Errorf("nil tracer Close: %v", err)
+	}
+}
+
+// kernelRecorder is a KernelSink that remembers every call it receives.
+type kernelRecorder struct {
+	MemorySink
+	calls []string
+}
+
+func (k *kernelRecorder) Kernel(name string, _ time.Duration) { k.calls = append(k.calls, name) }
+
+// TestKernelAggregates checks kernel calls fold into the summary's
+// per-kernel totals, reach KernelSinks in call order, and write no events.
+func TestKernelAggregates(t *testing.T) {
+	rec := &kernelRecorder{}
+	tr := New(rec)
+	for _, k := range []string{"wl_grad", "poisson_solve", "wl_grad", "wl_grad"} {
+		tr.Kernel(k, time.Now())
+	}
+	if len(rec.Events) != 0 {
+		t.Errorf("kernel calls wrote %d events, want 0", len(rec.Events))
+	}
+	if got, want := strings.Join(rec.calls, ","), "wl_grad,poisson_solve,wl_grad,wl_grad"; got != want {
+		t.Errorf("kernel sink saw %q, want %q", got, want)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum := rec.ByKind(KindSummary)[0].Summary
+	if sum.Events != 0 {
+		t.Errorf("summary counts %d events before itself, want 0", sum.Events)
+	}
+	if len(sum.Kernels) != 2 || sum.Kernels["wl_grad"].Count != 3 || sum.Kernels["poisson_solve"].Count != 1 {
+		t.Errorf("summary kernels = %+v, want wl_grad x3 and poisson_solve x1", sum.Kernels)
+	}
+	if sum.Kernels["wl_grad"].TotalMS < 0 {
+		t.Errorf("negative kernel total %+v", sum.Kernels["wl_grad"])
+	}
+}
+
+// TestKernelConcurrent checks kernel calls from several goroutines on one
+// tracer are all counted, in the summary and by the kernel sink.
+func TestKernelConcurrent(t *testing.T) {
+	rec := &kernelRecorder{}
+	tr := New(rec)
+	const workers, each = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Kernel("wl_grad", tr.Now())
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tr.Summary().Kernels["wl_grad"].Count; got != workers*each {
+		t.Errorf("summary counts %d calls, want %d", got, workers*each)
+	}
+	if len(rec.calls) != workers*each {
+		t.Errorf("kernel sink saw %d calls, want %d", len(rec.calls), workers*each)
+	}
+}
+
+// TestKernelAllocationFree pins the hot-path contract: Kernel allocates
+// nothing on a nil tracer, nor on a live tracer once a kernel has been
+// seen (the first call of a name inserts its map entry).
+func TestKernelAllocationFree(t *testing.T) {
+	var off *Tracer
+	start := time.Now()
+	if n := testing.AllocsPerRun(1000, func() { off.Kernel("wl_grad", start) }); n != 0 {
+		t.Errorf("nil Tracer.Kernel allocates %.1f per call, want 0", n)
+	}
+	on := New()
+	on.Kernel("wl_grad", start)
+	if n := testing.AllocsPerRun(1000, func() { on.Kernel("wl_grad", start) }); n != 0 {
+		t.Errorf("Tracer.Kernel allocates %.1f per call, want 0", n)
+	}
+}
+
+// BenchmarkKernel measures one timed kernel call on a live sinkless
+// tracer: the caller's clock read plus Kernel itself.
+func BenchmarkKernel(b *testing.B) {
+	tr := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Kernel("wl_grad", tr.Now())
 	}
 }
 
@@ -224,13 +314,14 @@ func TestProgressSinkCadence(t *testing.T) {
 	sp := tr.StartSpan("gp")
 	for i := 0; i < 25; i++ {
 		tr.IterEvent(IterRecord{Solver: "nesterov", Iter: i, F: float64(100 - i)})
+		tr.Kernel("wl_grad", time.Now())
 	}
 	sp.End()
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"iter 0 ", "iter 10 ", "iter 20 ", ">> gp", "<< gp", "run summary"} {
+	for _, want := range []string{"iter 0 ", "iter 10 ", "iter 20 ", ">> gp", "<< gp", "run summary", "kernel wl_grad", "x25 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
 		}

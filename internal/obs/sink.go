@@ -164,6 +164,10 @@ func (s *ProgressSink) summary(e Event) {
 		st := sum.Spans[k]
 		fmt.Fprintf(s.W, "  span %-28s x%-4d %10.1f ms\n", k, st.Count, st.TotalMS)
 	}
+	for _, k := range sortedKeys(sum.Kernels) {
+		st := sum.Kernels[k]
+		fmt.Fprintf(s.W, "  kernel %-26s x%-4d %10.1f ms\n", k, st.Count, st.TotalMS)
+	}
 	for _, k := range sortedKeys(sum.Counters) {
 		fmt.Fprintf(s.W, "  counter %-25s %12.6g\n", k, sum.Counters[k])
 	}

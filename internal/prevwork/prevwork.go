@@ -15,7 +15,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/density"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nlopt"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/par"
 	"repro/internal/wl"
 )
@@ -48,9 +46,11 @@ type Options struct {
 	ExtraWeight float64
 
 	// Tracer, when non-nil, wraps the run in a "gp" span, passes through
-	// to the CG solver's per-iteration events, and emits one "prev-epoch"
+	// to the CG solver's per-iteration events, emits one "prev-epoch"
 	// record per density epoch (objective, exact HPWL, density weight β,
-	// symmetry penalty). Nil costs one pointer check.
+	// symmetry penalty), and times the GP kernels (wl_grad,
+	// density_raster, density_grad; see obs.Tracer.Kernel). Nil costs one
+	// pointer check.
 	Tracer *obs.Tracer
 
 	// Pool, when non-nil, parallelizes the wirelength-gradient kernel.
@@ -58,15 +58,6 @@ type Options struct {
 	// (deterministic sharding; see internal/par). The caller owns the
 	// pool's lifetime.
 	Pool *par.Pool
-
-	// Metrics, when non-nil, receives per-call duration histograms for
-	// the hot-path kernels (placer_kernel_seconds: wl_grad,
-	// density_raster, density_grad), labeled with MetricsLabels plus a
-	// "kernel" label. Observation-only; nil costs one pointer check.
-	Metrics *metrics.Registry
-	// MetricsLabels are constant key, value pairs stamped on every kernel
-	// series; every caller of one registry must use the same key set.
-	MetricsLabels []string
 
 	// Warm, when non-nil, turns the run into an incremental (ECO)
 	// re-solve: device coordinates start from the prior placement and
@@ -154,31 +145,17 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 	binW := side / float64(opt.GridM)
 
 	wlEv := wl.NewEvaluatorPool(n, wl.LSE, 4*binW, opt.Pool)
-	var rasterH, gradH *metrics.Histogram
-	if opt.Metrics != nil {
-		wlEv.SetTimer(metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "wl_grad"))
-		rasterH = metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "density_raster")
-		gradH = metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "density_grad")
-	}
-	// The bell model has no Poisson solve to split out, so its two kernels
-	// are timed here at the call sites instead of via SetTimers.
+	wlEv.Tracer = opt.Tracer
+	// The bell model's two kernels are timed here at the call sites.
 	bellUpdate := func(pl *circuit.Placement) {
-		if rasterH == nil {
-			bell.Update(n, pl)
-			return
-		}
-		t0 := time.Now()
+		t0 := opt.Tracer.Now()
 		bell.Update(n, pl)
-		rasterH.Observe(time.Since(t0).Seconds())
+		opt.Tracer.Kernel("density_raster", t0)
 	}
 	bellAddGrad := func(dgx, dgy []float64) {
-		if gradH == nil {
-			bell.AddGrad(dgx, dgy)
-			return
-		}
-		t0 := time.Now()
+		t0 := opt.Tracer.Now()
 		bell.AddGrad(dgx, dgy)
-		gradH.Observe(time.Since(t0).Seconds())
+		opt.Tracer.Kernel("density_grad", t0)
 	}
 
 	rng := rand.New(rand.NewSource(opt.Seed))

@@ -3,12 +3,10 @@ package refine
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/detailed"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 )
 
 // Options configures the ILP large-neighborhood refinement pass.
@@ -35,12 +33,9 @@ type Options struct {
 	Focus []bool
 
 	// Tracer wraps the pass in a "refine" span (per-window ilp events,
-	// refine.* counters). Metrics, when non-nil, records each window
-	// solve in placer_kernel_seconds{...,kernel="refine_window"} under
-	// MetricsLabels.
-	Tracer        *obs.Tracer
-	Metrics       *metrics.Registry
-	MetricsLabels []string
+	// refine.* counters) and times each window solve as the
+	// refine_window kernel.
+	Tracer *obs.Tracer
 }
 
 // Stats summarizes one refinement pass.
@@ -91,7 +86,6 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 
 	span := opt.Tracer.StartSpan("refine")
 	defer span.End()
-	hist := metrics.KernelHistogram(opt.Metrics, opt.MetricsLabels, "refine_window")
 
 	work := p.Clone()
 	n.Normalize(work)
@@ -119,9 +113,9 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			t0 := time.Now()
+			t0 := opt.Tracer.Now()
 			ok, nodes, err := ws.Improve(ctx, work, win)
-			hist.Observe(time.Since(t0).Seconds())
+			opt.Tracer.Kernel("refine_window", t0)
 			stats.Windows++
 			stats.Nodes += nodes
 			if err != nil {

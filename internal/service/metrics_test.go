@@ -151,3 +151,34 @@ func TestGaugeRollupEnvelope(t *testing.T) {
 		t.Errorf("legacy last-value gauge = %g, want 20", got)
 	}
 }
+
+// TestPrivatePoolMetered checks a request that pins its thread count runs
+// on a private kernel pool the manager meters under the job's method and
+// size, and that the job's kernel timings reach placer_kernel_seconds
+// through the SpanSink on its tracer.
+func TestPrivatePoolMetered(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueCap: 2, Threads: 1}) // no shared pool
+	defer drain(t, m)
+	j, err := m.Submit(SubmitRequest{Circuit: "Adder", Method: "eplace-a", Seed: 1, Portfolio: 1, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateDone)
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, want := range []string{
+		`par_run_seconds_count{method="eplace-a",size="xs"} `,
+		`par_shard_skew_ratio_count{method="eplace-a",size="xs"} `,
+		`placer_kernel_seconds_count{method="eplace-a",size="xs",kernel="poisson_solve"} `,
+	} {
+		if !strings.Contains(text, want) || strings.Contains(text, want+"0\n") {
+			t.Errorf("exposition lacks a nonzero %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `method="all"`) {
+		t.Errorf("shared-pool series without a shared pool:\n%s", text)
+	}
+}

@@ -26,8 +26,9 @@
 //
 // Kernel parallelism: the manager owns one machine-sized par.Pool shared
 // by all workers (core.Options.Pool) instead of each placement building
-// and tearing down its own; requests that pin an explicit thread count
-// keep the private per-job pool.
+// and tearing down its own; a request that pins an explicit thread count
+// runs on a private pool the manager builds, meters and closes around the
+// job's solve.
 package service
 
 import (
@@ -149,16 +150,11 @@ type JobSpec struct {
 	// Priority is the parsed scheduling class from Req.Priority.
 	Priority sched.Priority
 
-	// Metrics is the manager's process-wide registry, set on acceptance so
-	// DefaultRunner can thread it into core.Options without changing the
-	// Runner signature. Nil (e.g. in tests constructing specs by hand) is
-	// fine: metering is then off for the run.
-	Metrics *metrics.Registry
-
-	// Pool, when non-nil, is the manager's shared kernel worker pool,
-	// handed to core.Options.Pool so placements skip per-call pool setup.
-	// Requests pinning an explicit thread count leave it nil and get a
-	// private pool sized by Req.Threads.
+	// Pool, when non-nil, is the kernel worker pool handed to
+	// core.Options.Pool so placements skip per-call pool setup: the
+	// manager's shared pool, or for a request pinning an explicit thread
+	// count, the private pool of that size the manager builds when the
+	// job's solve starts (validation leaves it nil).
 	Pool *par.Pool
 
 	// Warm, when non-nil, is the resolved warm start (ECO re-place) for
@@ -207,7 +203,6 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, tracer *obs.Tracer) (*Job
 		Threads:    spec.Req.Threads,
 		Pool:       spec.Pool,
 		Tracer:     tracer,
-		Metrics:    spec.Metrics,
 	}
 	if spec.Req.Refine {
 		opt.Refine = &refine.Options{Windows: spec.Req.RefineWindows}
@@ -384,9 +379,9 @@ type Manager struct {
 	aggSpans    map[string]obs.SpanStat
 
 	// reg is the process-wide Prometheus-style registry: job latency
-	// histograms, rejection counters, and (set at scrape time) queue and
-	// worker gauges. Jobs feed it their kernel timings via JobSpec.Metrics
-	// and their stage spans via a per-job SpanSink.
+	// histograms, rejection counters, kernel-pool timings, and (set at
+	// scrape time) queue and worker gauges. Jobs feed it their stage spans
+	// and kernel timings through a SpanSink on their tracer.
 	reg *metrics.Registry
 }
 
@@ -435,7 +430,7 @@ func NewManager(cfg Config) *Manager {
 	m.pool = par.NewPool(poolSize)
 	// The timing observer must be installed before the pool's first Run;
 	// a pool serving every method and size reports the aggregate view.
-	core.InstallPoolMetrics(m.pool, m.reg, "all", "all")
+	m.meterPool(m.pool, "all", "all")
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
@@ -464,6 +459,10 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 	}
 	if req.Threads < 0 {
 		return nil, fmt.Errorf("service: negative threads %d", req.Threads)
+	}
+	// No kernel splits into more than par.MaxShards shards; more workers only cost memory.
+	if req.Threads > par.MaxShards {
+		return nil, fmt.Errorf("service: threads %d exceeds the maximum %d", req.Threads, par.MaxShards)
 	}
 	if req.Chains < 0 {
 		return nil, fmt.Errorf("service: negative chains %d", req.Chains)
@@ -655,7 +654,6 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		m.rejectedCounter("invalid").Inc()
 		return nil, err
 	}
-	spec.Metrics = m.reg
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -677,8 +675,9 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		job.cacheKey = cacheKeyFor(spec)
 		job.hasKey = true
 	}
-	// The SpanSink rides alongside the streaming sink: the same span events
-	// that clients tail over /events also feed per-stage latency histograms.
+	// The SpanSink rides alongside the streaming sink: the span events that
+	// clients tail over /events, and the solvers' kernel timings, also feed
+	// latency histograms.
 	job.trc = obs.New(job.sink, metrics.NewSpanSink(m.reg, "placerd_stage_seconds",
 		"method", spec.Req.Method, "size", metrics.SizeClass(len(spec.Netlist.Devices))))
 	// The job's scheduling weight is inverse to its circuit size: the
@@ -856,7 +855,7 @@ func (m *Manager) runJob(job *Job) {
 			m.cacheMisses++
 		}
 		m.mu.Unlock()
-		res, err = m.cfg.Runner(ctx, &job.spec, job.trc)
+		res, err = m.solve(ctx, job)
 	} else {
 		m.mu.Lock()
 		m.cacheHits++
@@ -900,6 +899,48 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 	m.finalize(job, final)
 	close(job.done)
+}
+
+// solve runs the job's Runner. A request that pinned its thread count
+// gets a private kernel pool of that size for the solve, metered like the
+// shared pool but under the job's own method and size labels.
+func (m *Manager) solve(ctx context.Context, job *Job) (*JobResult, error) {
+	spec := job.spec
+	if spec.Pool == nil {
+		// NewPool returns nil for sizes <= 1: the kernels then run inline.
+		spec.Pool = par.NewPool(spec.Req.Threads)
+		defer spec.Pool.Close()
+		m.meterPool(spec.Pool, spec.Req.Method, metrics.SizeClass(len(spec.Netlist.Devices)))
+	}
+	return m.cfg.Runner(ctx, &spec, job.trc)
+}
+
+// skewBuckets spans the shard-skew ratio (max-min)/max in [0, 1): healthy
+// kernels sit in the first few buckets, a shard starving its siblings lands
+// near 1.
+var skewBuckets = []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
+
+// meterPool installs the par timing observer on a kernel pool, feeding
+// par_run_seconds and par_shard_skew_ratio under the given labels. It must
+// run before the pool's first Run (par.SetTimingFunc's contract); a nil
+// pool is a no-op.
+func (m *Manager) meterPool(pool *par.Pool, method, size string) {
+	if pool == nil {
+		return
+	}
+	labels := []string{"method", method, "size", size}
+	wallH := m.reg.Histogram("par_run_seconds",
+		"Wall time of one parallel kernel dispatch (internal/par Run).",
+		metrics.KernelBuckets, labels...)
+	skewH := m.reg.Histogram("par_shard_skew_ratio",
+		"Per-Run shard timing skew, (max-min)/max shard duration; persistent skew means a kernel's grain is mis-sized.",
+		skewBuckets, labels...)
+	pool.SetTimingFunc(func(rt par.RunTiming) {
+		wallH.Observe(rt.Wall.Seconds())
+		if rt.MaxShard > 0 {
+			skewH.Observe(float64(rt.MaxShard-rt.MinShard) / float64(rt.MaxShard))
+		}
+	})
 }
 
 // finalize updates service counters and rolls the job's solver telemetry
@@ -1081,10 +1122,6 @@ func (m *Manager) Metrics() Metrics {
 	}
 	return out
 }
-
-// Registry exposes the manager's metrics registry (for tests and embedding
-// servers that want to register their own series).
-func (m *Manager) Registry() *metrics.Registry { return m.reg }
 
 // WritePrometheus renders the Prometheus text view: the queue and worker
 // gauges are refreshed from live manager state at scrape time, then the

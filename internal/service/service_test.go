@@ -64,6 +64,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad netlist", SubmitRequest{Netlist: []byte(`{"name":"x","devices":[],"nets":[]}`)}, "no devices"},
 		{"negative timeout", SubmitRequest{Circuit: "Adder", TimeoutSec: -1}, "negative timeout"},
 		{"negative threads", SubmitRequest{Circuit: "Adder", Threads: -2}, "negative threads"},
+		{"too many threads", SubmitRequest{Circuit: "Adder", Threads: 100000000}, "threads 100000000 exceeds the maximum 64"},
 	}
 	for _, tc := range cases {
 		_, err := m.Submit(tc.req)

@@ -8,10 +8,9 @@ package wl
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/obs/metrics"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -93,13 +92,9 @@ type Evaluator struct {
 	partX, partY []float64 // flat [activeShards × nDevices]
 	totals       []float64 // per-shard wirelength partials
 
-	timer *metrics.Histogram // optional per-Eval duration histogram
+	// Tracer, when non-nil, times every Eval call as the wl_grad kernel.
+	Tracer *obs.Tracer
 }
-
-// SetTimer installs a per-call duration histogram on Eval. Timing is
-// observation-only (no result bit depends on it); a nil handle restores
-// the untimed single-pointer-check path.
-func (ev *Evaluator) SetTimer(h *metrics.Histogram) { ev.timer = h }
 
 // NewEvaluator returns an evaluator for netlist n using the given smoother
 // and smoothing parameter gamma (> 0). Smaller gamma tracks exact HPWL more
@@ -165,12 +160,9 @@ func (ev *Evaluator) SetGamma(g float64) { ev.gamma = g }
 // are summed shard-locally and merged in shard order — the same additions
 // in the same order whether shards run inline or on the pool.
 func (ev *Evaluator) Eval(p *circuit.Placement, gradX, gradY []float64) float64 {
-	if ev.timer == nil {
-		return ev.eval(p, gradX, gradY)
-	}
-	t0 := time.Now()
+	t0 := ev.Tracer.Now()
 	v := ev.eval(p, gradX, gradY)
-	ev.timer.Observe(time.Since(t0).Seconds())
+	ev.Tracer.Kernel("wl_grad", t0)
 	return v
 }
 
