@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/testcircuits"
 )
 
@@ -132,5 +135,40 @@ func TestTracingIsObservationOnly(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestTracingNonFiniteIsObservationOnly pins the run whose diverging
+// portfolio candidate reports HPWL +Inf and then NaN to the trace: VCO1
+// by ePlace-A at seed 7. Traced into a JSONL sink, it must close without
+// error, leave a trace the structural checker accepts, and place exactly
+// as the untraced run does.
+func TestTracingNonFiniteIsObservationOnly(t *testing.T) {
+	c, err := testcircuits.ByName("VCO1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Place(c.Netlist, MethodEPlaceA, Options{Seed: 7, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tr := obs.New(obs.NewJSONLSink(&buf))
+	traced, err := Place(c.Netlist, MethodEPlaceA, Options{Seed: 7, Threads: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("closing trace: %v", err)
+	}
+	trace, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Check(); err != nil {
+		t.Fatalf("trace check: %v", err)
+	}
+	if !reflect.DeepEqual(plain.Placement, traced.Placement) {
+		t.Error("placement changed under tracing")
 	}
 }

@@ -66,7 +66,7 @@ func TestElectrostaticGradientPushesApart(t *testing.T) {
 	g.Update(n, p)
 	gx := make([]float64, 2)
 	gy := make([]float64, 2)
-	g.AddGrad(n, p, gx, gy)
+	g.AddGrad(gx, gy)
 	// Descending the gradient must separate them: ∂N/∂x_A > 0 (A pushed
 	// left), ∂N/∂x_B < 0 (B pushed right).
 	if gx[0] <= 0 || gx[1] >= 0 {

@@ -383,7 +383,7 @@ func (st *solveState) calibrate() {
 	st.grid.Update(st.n, st.p)
 	zero(st.sgx)
 	zero(st.sgy)
-	st.grid.AddGrad(st.n, st.p, st.sgx, st.sgy)
+	st.grid.AddGrad(st.sgx, st.sgy)
 	denNorm := nlopt.Norm1(st.sgx) + nlopt.Norm1(st.sgy) + 1e-12
 	st.lambda = st.opt.Lambda0 * wlNorm / denNorm
 
@@ -465,7 +465,7 @@ func (st *solveState) objective(x, grad []float64) float64 {
 	st.grid.Update(st.n, st.p)
 	zero(st.sgx)
 	zero(st.sgy)
-	st.grid.AddGrad(st.n, st.p, st.sgx, st.sgy)
+	st.grid.AddGrad(st.sgx, st.sgy)
 	f += st.lambda * st.grid.Energy()
 	for i := 0; i < nd; i++ {
 		st.gx[i] += st.lambda * st.sgx[i]

@@ -134,25 +134,41 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-// TestConvenienceFFTMatchesPlanTables: the table-less FFT must run the
-// identical fftTab kernel with identical twiddles as a Plan of the same
-// size — bit-equal outputs, not merely close (the w *= wBase recurrence
-// it replaced drifted at N = 1024).
+// TestConvenienceFFTMatchesPlanTables: the plan's butterflies, fed their
+// input in bit-reversed order and reading the per-stage twiddle runs, must
+// reproduce the fftTab-driven FFT (forward) and unscaled inverse bit for
+// bit — not merely closely — on complex inputs with signed zeros.
 func TestConvenienceFFTMatchesPlanTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	for _, n := range []int{8, 256, 1024} {
+	for n := 1; n <= 1024; n *= 2 {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			if i%7 == 3 {
+				x[i] = complex(math.Copysign(0, -1), real(x[i]))
+			}
 		}
-		got := append([]complex128(nil), x...)
-		FFT(got)
-		want := append([]complex128(nil), x...)
-		fftTab(want, p.fwdTab)
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("n=%d: FFT[%d] = %v, plan fftTab %v (must be bit-equal)", n, k, got[k], want[k])
+		for _, dir := range []struct {
+			name string
+			tab  []complex128
+			tw   []complex128
+		}{
+			{"forward", convTables(n).fwd, p.fwdStage},
+			{"inverse", convTables(n).inv, p.invStage},
+		} {
+			want := append([]complex128(nil), x...)
+			fftTab(want, dir.tab)
+			got := make([]complex128, n)
+			for i, v := range x {
+				got[p.rev[i]] = v
+			}
+			butterflies(got, dir.tw)
+			for k := range got {
+				if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+					math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+					t.Fatalf("n=%d %s: [%d] = %v, fftTab %v (must be bit-equal)", n, dir.name, k, got[k], want[k])
+				}
 			}
 		}
 	}

@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -187,15 +188,48 @@ func New(sinks ...Sink) *Tracer {
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // emitLocked stamps and fans out an event. Callers hold t.mu.
+//
+// JSON has no encoding for ±Inf or NaN, and a diverging solver can report
+// them, so every float the event carries is made finite here, before any
+// sink sees it: ±Inf becomes ±math.MaxFloat64 and NaN becomes 0. Events
+// own their payloads (the recording methods pass copies), so this rewrites
+// no caller's data. A summary's counters and gauges are made finite when
+// summaryLocked copies them, which Summary's callers rely on too.
 func (t *Tracer) emitLocked(e Event, at time.Time) {
 	e.TS = at.Sub(t.start).Seconds()
 	if e.Span == "" && len(t.stack) > 0 {
 		e.Span = strings.Join(t.stack, "/")
 	}
+	e.DurMS, e.Value = finite(e.DurMS), finite(e.Value)
+	if r := e.Iter; r != nil {
+		for _, f := range []*float64{&r.F, &r.Grad, &r.Step, &r.HPWL, &r.Overflow, &r.Lambda, &r.Sym,
+			&r.GradWL, &r.GradDensity, &r.GradSym, &r.GradArea, &r.GradExtra} {
+			*f = finite(*f)
+		}
+	}
+	if r := e.SA; r != nil {
+		r.Temp, r.AcceptRate = finite(r.Temp), finite(r.AcceptRate)
+		r.Cur, r.Best = finite(r.Cur), finite(r.Best)
+	}
+	if r := e.LP; r != nil {
+		r.Obj = finite(r.Obj)
+	}
 	t.events++
 	for _, s := range t.sinks {
 		s.Emit(e)
 	}
+}
+
+// finite returns v with ±Inf clamped to ±math.MaxFloat64 and NaN replaced
+// by 0, the values emitLocked writes in their place.
+func finite(v float64) float64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case math.IsInf(v, 0):
+		return math.Copysign(math.MaxFloat64, v)
+	}
+	return v
 }
 
 // Span is an open timed region. End is idempotent and nil-safe.
@@ -336,7 +370,8 @@ func (t *Tracer) Gauge(name string, v float64) {
 	t.mu.Unlock()
 }
 
-// Summary returns a copy of the aggregated run statistics so far.
+// Summary returns a copy of the aggregated run statistics so far, its
+// counters and gauges made finite as emitLocked makes events.
 func (t *Tracer) Summary() SummaryRecord {
 	if t == nil {
 		return SummaryRecord{}
@@ -356,10 +391,10 @@ func (t *Tracer) summaryLocked() SummaryRecord {
 		WallMS:   time.Since(t.start).Seconds() * 1e3,
 	}
 	for k, v := range t.counters {
-		s.Counters[k] = v
+		s.Counters[k] = finite(v)
 	}
 	for k, v := range t.gauges {
-		s.Gauges[k] = v
+		s.Gauges[k] = finite(v)
 	}
 	for k, v := range t.spanStats {
 		s.Spans[k] = v

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -303,6 +304,74 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 	if err := tr.Close(); err == nil {
 		t.Fatal("Close returned nil after write failures")
+	}
+}
+
+// TestNonFiniteValuesStayEncodable pushes ±Inf and NaN through every float
+// an event or the summary can carry, then one more event, through both
+// sinks that feed JSON encoders: the JSONL file sink and the stream sink
+// placerd encodes as NDJSON. Every event must encode, the last one
+// included, with ±Inf clamped to ±MaxFloat64 and NaN written as 0.
+func TestNonFiniteValuesStayEncodable(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	var buf bytes.Buffer
+	stream := NewStreamSink()
+	tr := New(NewJSONLSink(&buf), stream)
+	sp := tr.StartSpan("gp")
+	tr.IterEvent(IterRecord{Solver: "nesterov", F: inf, Grad: -inf, Step: nan,
+		HPWL: inf, Overflow: nan, Lambda: inf, Sym: -inf,
+		GradWL: nan, GradDensity: inf, GradSym: -inf, GradArea: nan, GradExtra: inf})
+	tr.SAEvent(SARecord{Temp: inf, AcceptRate: nan, Cur: -inf, Best: inf})
+	tr.LPEvent(LPRecord{Solver: "lp", Obj: -inf, Status: "optimal"})
+	tr.Count("gp.runs", inf)
+	tr.Gauge("gp.final_hpwl", nan)
+	tr.Gauge("gp.final_overflow", -inf)
+	sp.End()
+	tr.IterEvent(IterRecord{Solver: "nesterov", Iter: 1, F: 2.5})
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 9 {
+		t.Fatalf("JSONL sink wrote %d lines, want 9:\n%s", len(lines), buf.String())
+	}
+	var last Event
+	if err := json.Unmarshal([]byte(lines[7]), &last); err != nil || last.Iter == nil || last.Iter.F != 2.5 {
+		t.Fatalf("event after the non-finite ones: %q (%v)", lines[7], err)
+	}
+	events, done, _ := stream.After(0)
+	if !done || len(events) != 9 {
+		t.Fatalf("stream sink holds %d events (closed %v), want 9 closed", len(events), done)
+	}
+	for i := range events {
+		if _, err := json.Marshal(&events[i]); err != nil {
+			t.Fatalf("stream event %d does not encode: %v", i, err)
+		}
+	}
+
+	max := math.MaxFloat64
+	it, sa, lp := events[1].Iter, events[2].SA, events[3].LP
+	wantIter := IterRecord{Solver: "nesterov", F: max, Grad: -max, HPWL: max, Lambda: max, Sym: -max,
+		GradDensity: max, GradSym: -max, GradExtra: max}
+	if *it != wantIter {
+		t.Errorf("iter = %+v, want %+v", *it, wantIter)
+	}
+	if want := (SARecord{Temp: max, Cur: -max, Best: max}); *sa != want {
+		t.Errorf("sa = %+v, want %+v", *sa, want)
+	}
+	if lp.Obj != -max {
+		t.Errorf("lp obj = %v, want %v", lp.Obj, -max)
+	}
+	if events[4].Value != 0 || events[5].Value != -max {
+		t.Errorf("gauge values = %v, %v, want 0, %v", events[4].Value, events[5].Value, -max)
+	}
+	sum := events[8].Summary
+	if sum.Counters["gp.runs"] != max || sum.Gauges["gp.final_hpwl"] != 0 || sum.Gauges["gp.final_overflow"] != -max {
+		t.Errorf("summary counters %v gauges %v", sum.Counters, sum.Gauges)
+	}
+	if got := tr.Summary().Gauges["gp.final_hpwl"]; got != 0 {
+		t.Errorf("Summary() gauge = %v, want 0", got)
 	}
 }
 
