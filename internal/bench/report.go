@@ -98,9 +98,9 @@ type Report struct {
 	Chains        int  `json:"chains,omitempty"`
 	Refine        bool `json:"refine,omitempty"`
 	RefineWindows int  `json:"refine_windows,omitempty"`
-	// Threads is the resolved placement-kernel worker count the run used;
+	// Threads is the resolved SA chain pool size the run used;
 	// GoMaxProcs snapshots the Go scheduler's parallelism. QoR does not
-	// depend on either (deterministic sharding), runtime does.
+	// depend on either, runtime does.
 	Threads     int          `json:"threads,omitempty"`
 	GoMaxProcs  int          `json:"gomaxprocs,omitempty"`
 	GoVersion   string       `json:"go_version,omitempty"`

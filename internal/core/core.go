@@ -140,23 +140,19 @@ type Options struct {
 	// carry a tracer keep it.
 	Tracer *obs.Tracer
 
-	// Threads sets the worker count for the parallel placement kernels
-	// (wirelength gradients, density rasterization, spectral solve).
-	// Zero means runtime.NumCPU(); 1 forces fully inline execution.
-	// Results are bit-identical at every thread count — deterministic
-	// sharding (internal/par) fixes every floating-point summation
-	// order from the problem size alone. Per-stage overrides that
-	// already carry a Pool keep it.
+	// Threads sizes the worker pool that runs the SA portfolio chains.
+	// Zero means runtime.NumCPU(); 1 runs the chains one after another.
+	// The eplace-a and prev flows run single-threaded whatever the value.
+	// Results are bit-identical at every thread count: the chains'
+	// seeds and their best-of reduction do not depend on scheduling.
 	Threads int
 
-	// Pool, when non-nil, is a caller-owned worker pool used instead of
-	// creating one per call: a long-running service sizes one pool to the
-	// machine and shares it across every concurrent placement (par.Pool
-	// supports concurrent Run calls). The flow never closes a caller
-	// pool — lifecycle and timing observers stay with the owner — and
-	// Threads is ignored while Pool is set. Placement bits are identical
-	// either way: deterministic sharding keys off the problem size, not
-	// the pool.
+	// Pool, when non-nil, is a caller-owned worker pool the SA chains run
+	// on instead of one built per call: a long-running service sizes one
+	// pool to the machine and shares it across every concurrent placement
+	// (par.Pool supports concurrent Run calls). The flow never closes a
+	// caller pool, and Threads is ignored while Pool is set. Placement
+	// bits are identical either way.
 	Pool *par.Pool
 
 	// WarmStart, when non-nil, runs the flow as an incremental (ECO)
@@ -245,17 +241,7 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 	start := time.Now()
 	placeSpan := opt.Tracer.StartSpan("place")
 	defer placeSpan.End()
-	r := &run{ctx: ctx, n: n, opt: opt, pool: opt.Pool, res: &Result{Method: method}}
-	if r.pool == nil {
-		threads := opt.Threads
-		if threads == 0 {
-			threads = par.NumCPU()
-		}
-		// NewPool returns nil for threads <= 1: the kernels then run inline.
-		// Either way the placement bits are independent of the choice.
-		r.pool = par.NewPool(threads)
-		defer r.pool.Close()
-	}
+	r := &run{ctx: ctx, n: n, opt: opt, res: &Result{Method: method}}
 	if opt.WarmStart != nil {
 		w, err := buildWarmPlan(n, opt.WarmStart)
 		if err != nil {
@@ -308,7 +294,6 @@ type run struct {
 	ctx  context.Context
 	n    *circuit.Netlist
 	opt  Options
-	pool *par.Pool
 	warm *warmPlan
 	res  *Result
 }
@@ -318,20 +303,16 @@ type run struct {
 type shared struct {
 	seed   *int64
 	tracer **obs.Tracer
-	pool   **par.Pool
 }
 
 // inherit fills a per-stage override's unset shared fields: a zero seed
-// takes Options.Seed, and a nil tracer or pool the run's.
+// takes Options.Seed, and a nil tracer the run's.
 func (r *run) inherit(f shared) {
 	if f.seed != nil && *f.seed == 0 {
 		*f.seed = r.opt.Seed
 	}
 	if *f.tracer == nil {
 		*f.tracer = r.opt.Tracer
-	}
-	if f.pool != nil && *f.pool == nil {
-		*f.pool = r.pool
 	}
 }
 
@@ -346,8 +327,19 @@ func override[T any](o *T) T {
 }
 
 // placeSA anneals as a portfolio of chains (refine.Portfolio), warm-seeded
-// from the prior placement when the run has one.
+// from the prior placement when the run has one. The chains run on
+// Options.Pool, or on a pool of Options.Threads workers built for the call.
 func (r *run) placeSA() error {
+	pool := r.opt.Pool
+	if pool == nil {
+		threads := r.opt.Threads
+		if threads == 0 {
+			threads = par.NumCPU()
+		}
+		// NewPool returns nil for threads <= 1: the chains then run in turn.
+		pool = par.NewPool(threads)
+		defer pool.Close()
+	}
 	sa := override(r.opt.SA)
 	r.inherit(shared{seed: &sa.Seed, tracer: &sa.Tracer})
 	if w := r.opt.AreaWeight; w > 0 {
@@ -365,7 +357,7 @@ func (r *run) placeSA() error {
 	}
 	p, stats, err := refine.Portfolio(r.ctx, r.n, sa, refine.PortfolioOptions{
 		Chains: r.opt.Chains,
-		Pool:   r.pool,
+		Pool:   pool,
 		Tracer: r.opt.Tracer,
 	})
 	if err != nil {
@@ -379,7 +371,7 @@ func (r *run) placeSA() error {
 // LP detailed placement.
 func (r *run) placePrev() error {
 	gpOpt := override(r.opt.Prev)
-	r.inherit(shared{seed: &gpOpt.Seed, tracer: &gpOpt.Tracer, pool: &gpOpt.Pool})
+	r.inherit(shared{seed: &gpOpt.Seed, tracer: &gpOpt.Tracer})
 	if r.warm != nil {
 		gpOpt.Warm = r.warm.gp(r.opt.WarmStart)
 	}
@@ -412,7 +404,7 @@ func (r *run) placeEPlaceA() error {
 		}
 	}
 	baseGP := override(opt.GP)
-	r.inherit(shared{seed: &baseGP.Seed, tracer: &baseGP.Tracer, pool: &baseGP.Pool})
+	r.inherit(shared{seed: &baseGP.Seed, tracer: &baseGP.Tracer})
 	if opt.AreaWeight > 0 {
 		baseGP.AreaWeight = opt.AreaWeight
 	}

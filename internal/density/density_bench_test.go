@@ -3,17 +3,15 @@ package density
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
-	"repro/internal/par"
 )
 
 // benchGrid generates a synthetic netlist, spreads it on a grid, and
-// returns an electrostatic model (over pool) sized to the placement.
-func benchGrid(b *testing.B, m, devices int, pool *par.Pool) (*Electrostatic, *circuit.Netlist, *circuit.Placement) {
+// returns an electrostatic model sized to the placement.
+func benchGrid(b *testing.B, m, devices int) (*Electrostatic, *circuit.Netlist, *circuit.Placement) {
 	b.Helper()
 	n, err := gen.Generate(gen.Params{Seed: 3, Devices: devices})
 	if err != nil {
@@ -28,67 +26,47 @@ func benchGrid(b *testing.B, m, devices int, pool *par.Pool) (*Electrostatic, *c
 		p.X[i] = float64(i%cols) * 3
 		p.Y[i] = float64(i/cols) * 3
 	}
-	return NewElectrostaticPool(m, n.BoundingBox(p), pool), n, p
+	return NewElectrostatic(m, n.BoundingBox(p)), n, p
 }
-
-// benchThreads are the worker counts the parallel variants compare:
-// inline (threads1) against a machine-sized pool. The ρ grids, fields,
-// and gradients are bit-identical across variants by construction.
-var benchThreads = []int{1, runtime.NumCPU()}
 
 // BenchmarkUpdate measures bin accumulation alone (density rasterization
 // without the Poisson solve): Update is called once per GP iteration.
 func BenchmarkUpdate(b *testing.B) {
 	for _, size := range []int{100, 1000} {
-		for _, threads := range benchThreads {
-			b.Run(fmt.Sprintf("m32/n%d/threads%d", size, threads), func(b *testing.B) {
-				pool := par.NewPool(threads)
-				defer pool.Close()
-				g, n, p := benchGrid(b, 32, size, pool)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.accumulate(n, p)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("m32/n%d", size), func(b *testing.B) {
+			g, n, p := benchGrid(b, 32, size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.accumulate(n, p)
+			}
+		})
 	}
 }
 
 // BenchmarkPoissonSolve measures the spectral Poisson solve alone (DCT,
 // spectral scaling, inverse transforms) at production grid sizes plus the
 // large m=512/1024 grids the packed-FFT pipeline is gated on. The fast
-// transforms make one solve O(m² log m); the threads variants fan the
-// packed row-pair passes across the pool.
+// transforms make one solve O(m² log m).
 func BenchmarkPoissonSolve(b *testing.B) {
 	for _, m := range []int{32, 64, 128, 512, 1024} {
-		for _, threads := range benchThreads {
-			b.Run(fmt.Sprintf("m%d/threads%d", m, threads), func(b *testing.B) {
-				pool := par.NewPool(threads)
-				defer pool.Close()
-				g, n, p := benchGrid(b, m, 200, pool)
-				g.Update(n, p) // fill rho once; solve re-runs on the same density
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.solve()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
+			g, n, p := benchGrid(b, m, 200)
+			g.Update(n, p) // fill rho once; solve re-runs on the same density
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.solve()
+			}
+		})
 	}
 }
 
 // BenchmarkUpdateFull measures the full per-iteration density cost
 // (accumulation + Poisson solve), the number GP iteration budgeting needs.
 func BenchmarkUpdateFull(b *testing.B) {
-	for _, threads := range benchThreads {
-		b.Run(fmt.Sprintf("threads%d", threads), func(b *testing.B) {
-			pool := par.NewPool(threads)
-			defer pool.Close()
-			g, n, p := benchGrid(b, 32, 1000, pool)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Update(n, p)
-			}
-		})
+	g, n, p := benchGrid(b, 32, 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Update(n, p)
 	}
 }
 

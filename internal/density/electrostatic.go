@@ -16,18 +16,9 @@ import (
 )
 
 // devGrain is the minimum number of devices per shard when rasterization
-// and gradient sampling are split. Fixed so shard geometry — and with it
-// the bin-sum merge order — depends only on the netlist size, keeping
-// results bit-identical at every thread count.
+// is split. Fixed so shard geometry — and with it the bin-sum merge order
+// — depends only on the netlist size.
 const devGrain = 32
-
-// gridScratch is the per-worker-slot working set for the packed line-pair
-// transform passes: an fft.Scratch for the shared Plan plus two line
-// buffers for frequency-scaled coefficient rows.
-type gridScratch struct {
-	fs     *fft.Scratch
-	b0, b1 []float64
-}
 
 // Electrostatic is the ePlace density model: devices are positive charges
 // whose density field ρ drives a Poisson equation ∇²ψ = -ρ; the overlap
@@ -44,21 +35,16 @@ type gridScratch struct {
 // ψ/ξx/ξy reconstructions share the inverse pass over v through linearity
 // instead of running three independent 2-D transforms.
 //
-// Concurrency model: a grid built over a par.Pool parallelizes the
-// device-sharded passes over the footprint table Update builds
-// (rasterization with per-shard partial ρ grids merged in shard order,
-// field sampling with disjoint per-device writes) and the line-pair
-// transform passes of the spectral solve (disjoint line pairs via
-// par.ForPairs, per-slot fft scratch). Shard geometry — including the line
-// pairing — is a pure function of problem size, so pooled and inline
-// execution produce identical bits. The grid itself is not safe for
-// concurrent use by multiple goroutines.
+// Every pass runs inline on the calling goroutine. Rasterization keeps its
+// fixed device shards, a partial ρ grid per shard merged in shard order,
+// and the line passes their fixed pairing, so the result bits depend only
+// on the input. The grid is not safe for concurrent use by multiple
+// goroutines.
 type Electrostatic struct {
 	m      int
 	region geom.Rect
 	binW   float64
 	binH   float64
-	pool   *par.Pool
 
 	plan *fft.Plan
 	rho  []float64 // device area density per bin (area units / bin area)
@@ -67,11 +53,11 @@ type Electrostatic struct {
 	ex   []float64 // field x-component per bin
 	ey   []float64 // field y-component per bin
 
-	work    []float64     // scratch: half-transformed grids
-	coefBuf []float64     // scratch: transposed half-transformed grids
-	lineE   []float64     // per-row Σ ρ·ψ partials (deterministic energy)
-	slots   []gridScratch // per-worker-slot transform scratch
-	partRho []float64     // per-shard partial ρ grids (one grid when pool is nil)
+	work    []float64 // scratch: half-transformed grids
+	coefBuf []float64 // scratch: transposed half-transformed grids
+	lineE   []float64 // per-row Σ ρ·ψ partials (deterministic energy)
+	b0, b1  []float64 // scratch: frequency-scaled coefficient lines
+	partRho []float64 // scratch: one raster shard's partial ρ grid
 
 	// Device footprints of the last Update, flat over devices: device i's
 	// charge scale is scale[i], and the bins its inflated rectangle
@@ -103,18 +89,10 @@ type overlap struct {
 }
 
 // NewElectrostatic creates an m×m electrostatic grid (m a power of two)
-// covering region, running inline on the calling goroutine.
+// covering region.
 func NewElectrostatic(m int, region geom.Rect) *Electrostatic {
-	return NewElectrostaticPool(m, region, nil)
-}
-
-// NewElectrostaticPool is NewElectrostatic with a worker pool for the
-// rasterization, solve, and gradient kernels. A nil pool is valid and
-// means inline execution with identical result bits.
-func NewElectrostaticPool(m int, region geom.Rect, pool *par.Pool) *Electrostatic {
 	g := &Electrostatic{
 		m:        m,
-		pool:     pool,
 		plan:     fft.NewPlan(m),
 		rho:      make([]float64, m*m),
 		auv:      make([]float64, m*m),
@@ -124,17 +102,12 @@ func NewElectrostaticPool(m int, region geom.Rect, pool *par.Pool) *Electrostati
 		work:     make([]float64, m*m),
 		coefBuf:  make([]float64, m*m),
 		lineE:    make([]float64, m),
+		b0:       make([]float64, m),
+		b1:       make([]float64, m),
+		partRho:  make([]float64, m*m),
 		wuTab:    make([]float64, m),
 		wvTab:    make([]float64, m),
 		scaleTab: make([]float64, m*m),
-		slots:    make([]gridScratch, pool.Workers()),
-	}
-	for i := range g.slots {
-		g.slots[i] = gridScratch{
-			fs: g.plan.NewScratch(),
-			b0: make([]float64, m),
-			b1: make([]float64, m),
-		}
 	}
 	g.SetRegion(region)
 	return g
@@ -246,11 +219,10 @@ func (g *Electrostatic) Update(n *circuit.Netlist, p *circuit.Placement) {
 }
 
 // accumulate builds the device footprints and rasterizes them into the ρ
-// bins. Devices are split into shards; each shard rasterizes into its own
-// partial grid and the partials are added into ρ in shard order, so the
-// per-bin summation tree depends only on the netlist, not on scheduling.
+// bins. Devices are split into shards; each shard rasterizes into a
+// partial grid that is added into ρ before the next shard, so the per-bin
+// summation tree depends only on the netlist.
 func (g *Electrostatic) accumulate(n *circuit.Netlist, p *circuit.Placement) {
-	m := g.m
 	g.buildFootprints(n, p)
 	for i := range g.rho {
 		g.rho[i] = 0
@@ -261,46 +233,16 @@ func (g *Electrostatic) accumulate(n *circuit.Netlist, p *circuit.Placement) {
 		g.rasterize(0, nd, g.rho)
 		return
 	}
-	bins := m * m
-	if g.pool == nil {
-		// Sequential shards reuse one partial grid, merged after each
-		// shard — the identical additions, in the identical order, as
-		// the pooled branch.
-		g.ensurePartRho(1)
-		for s := 0; s < shards; s++ {
-			lo, hi := par.ShardRange(nd, shards, s)
-			part := g.partRho[:bins]
-			for i := range part {
-				part[i] = 0
-			}
-			g.rasterize(lo, hi, part)
-			for i, v := range part {
-				g.rho[i] += v
-			}
-		}
-		return
-	}
-	g.ensurePartRho(shards)
-	g.pool.Run(shards, func(s int) {
+	part := g.partRho
+	for s := 0; s < shards; s++ {
 		lo, hi := par.ShardRange(nd, shards, s)
-		part := g.partRho[s*bins : (s+1)*bins]
 		for i := range part {
 			part[i] = 0
 		}
 		g.rasterize(lo, hi, part)
-	})
-	for s := 0; s < shards; s++ {
-		part := g.partRho[s*bins : (s+1)*bins]
 		for i, v := range part {
 			g.rho[i] += v
 		}
-	}
-}
-
-// ensurePartRho sizes the partial-grid arena for the given shard count.
-func (g *Electrostatic) ensurePartRho(shards int) {
-	if need := shards * g.m * g.m; len(g.partRho) < need {
-		g.partRho = make([]float64, need)
 	}
 }
 
@@ -397,27 +339,25 @@ func (g *Electrostatic) solve() {
 	m := g.m
 	plan := g.plan
 	// F1: forward DCT along x of every ρ row, two rows per complex FFT.
-	g.forLinePairs(func(slot, y0, y1 int) {
-		sc := &g.slots[slot]
+	g.forLinePairs(func(y0, y1 int) {
 		if y1 < 0 {
-			plan.DCT2To(g.rho[y0*m:y0*m+m], g.auv[y0*m:y0*m+m], sc.fs)
+			plan.DCT2To(g.rho[y0*m:y0*m+m], g.auv[y0*m:y0*m+m])
 			return
 		}
 		plan.DCT2PairTo(g.rho[y0*m:y0*m+m], g.rho[y1*m:y1*m+m],
-			g.auv[y0*m:y0*m+m], g.auv[y1*m:y1*m+m], sc.fs)
+			g.auv[y0*m:y0*m+m], g.auv[y1*m:y1*m+m])
 	})
 	// T1: [y][u] → [u][y] so the y-direction DCT runs on contiguous rows.
-	g.transposeGrid(g.work, g.auv)
+	fft.Transpose(g.work, g.auv, m)
 	// F2: forward DCT along y, scaled in place to ψ coefficients while the
 	// rows are cache-hot.
-	g.forLinePairs(func(slot, u0, u1 int) {
-		sc := &g.slots[slot]
+	g.forLinePairs(func(u0, u1 int) {
 		o0 := g.auv[u0*m : u0*m+m]
 		if u1 < 0 {
-			plan.DCT2To(g.work[u0*m:u0*m+m], o0, sc.fs)
+			plan.DCT2To(g.work[u0*m:u0*m+m], o0)
 		} else {
 			plan.DCT2PairTo(g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m],
-				o0, g.auv[u1*m:u1*m+m], sc.fs)
+				o0, g.auv[u1*m:u1*m+m])
 		}
 		for v, s := range g.scaleTab[u0*m : u0*m+m] {
 			o0[v] *= s
@@ -431,92 +371,84 @@ func (g *Electrostatic) solve() {
 	})
 	// R1: shared half-reconstruction Q[u][y] = InvCos over v of the ψ
 	// coefficient rows. ψ and ξx both build on Q.
-	g.forLinePairs(func(slot, u0, u1 int) {
-		sc := &g.slots[slot]
+	g.forLinePairs(func(u0, u1 int) {
 		if u1 < 0 {
-			plan.InvCosTo(g.auv[u0*m:u0*m+m], g.work[u0*m:u0*m+m], sc.fs)
+			plan.InvCosTo(g.auv[u0*m:u0*m+m], g.work[u0*m:u0*m+m])
 			return
 		}
 		plan.InvCosPairTo(g.auv[u0*m:u0*m+m], g.auv[u1*m:u1*m+m],
-			g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m], sc.fs)
+			g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m])
 	})
 	// T2: Q[u][y] → coefBuf[y][u].
-	g.transposeGrid(g.coefBuf, g.work)
+	fft.Transpose(g.coefBuf, g.work, m)
 	// R2a: per output row y, ψ = InvCos over u of Q^T, and ξx = InvSin
 	// over u of the same row scaled by wu (the per-u constant that turns ψ
 	// coefficients into ξx coefficients). The Σ ρ·ψ energy partial of each
-	// finished ψ row is accumulated here too — a fixed per-row summation
-	// order, so Energy stays bit-identical at every thread count.
-	g.forLinePairs(func(slot, y0, y1 int) {
-		sc := &g.slots[slot]
+	// finished ψ row is accumulated here too, in a fixed per-row
+	// summation order.
+	b0, b1 := g.b0, g.b1
+	g.forLinePairs(func(y0, y1 int) {
 		q0 := g.coefBuf[y0*m : y0*m+m]
 		if y1 < 0 {
-			plan.InvCosTo(q0, g.psi[y0*m:y0*m+m], sc.fs)
+			plan.InvCosTo(q0, g.psi[y0*m:y0*m+m])
 			for u := 0; u < m; u++ {
-				sc.b0[u] = g.wuTab[u] * q0[u]
+				b0[u] = g.wuTab[u] * q0[u]
 			}
-			plan.InvSinTo(sc.b0, g.ex[y0*m:y0*m+m], sc.fs)
+			plan.InvSinTo(b0, g.ex[y0*m:y0*m+m])
 			g.lineE[y0] = dot(g.rho[y0*m:y0*m+m], g.psi[y0*m:y0*m+m])
 			return
 		}
 		q1 := g.coefBuf[y1*m : y1*m+m]
-		plan.InvCosPairTo(q0, q1, g.psi[y0*m:y0*m+m], g.psi[y1*m:y1*m+m], sc.fs)
+		plan.InvCosPairTo(q0, q1, g.psi[y0*m:y0*m+m], g.psi[y1*m:y1*m+m])
 		for u := 0; u < m; u++ {
 			w := g.wuTab[u]
-			sc.b0[u] = w * q0[u]
-			sc.b1[u] = w * q1[u]
+			b0[u] = w * q0[u]
+			b1[u] = w * q1[u]
 		}
-		plan.InvSinPairTo(sc.b0, sc.b1, g.ex[y0*m:y0*m+m], g.ex[y1*m:y1*m+m], sc.fs)
+		plan.InvSinPairTo(b0, b1, g.ex[y0*m:y0*m+m], g.ex[y1*m:y1*m+m])
 		g.lineE[y0] = dot(g.rho[y0*m:y0*m+m], g.psi[y0*m:y0*m+m])
 		g.lineE[y1] = dot(g.rho[y1*m:y1*m+m], g.psi[y1*m:y1*m+m])
 	})
 	// R1b: S[u][y] = InvSin over v of the wv-scaled ψ coefficient rows
 	// (wv is constant per v, so scaling the row is the whole ξy
 	// coefficient build — no third coefficient grid).
-	g.forLinePairs(func(slot, u0, u1 int) {
-		sc := &g.slots[slot]
+	g.forLinePairs(func(u0, u1 int) {
 		for v, a := range g.auv[u0*m : u0*m+m] {
-			sc.b0[v] = g.wvTab[v] * a
+			b0[v] = g.wvTab[v] * a
 		}
 		if u1 < 0 {
-			plan.InvSinTo(sc.b0, g.work[u0*m:u0*m+m], sc.fs)
+			plan.InvSinTo(b0, g.work[u0*m:u0*m+m])
 			return
 		}
 		for v, a := range g.auv[u1*m : u1*m+m] {
-			sc.b1[v] = g.wvTab[v] * a
+			b1[v] = g.wvTab[v] * a
 		}
-		plan.InvSinPairTo(sc.b0, sc.b1, g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m], sc.fs)
+		plan.InvSinPairTo(b0, b1, g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m])
 	})
 	// T3: S[u][y] → coefBuf[y][u].
-	g.transposeGrid(g.coefBuf, g.work)
+	fft.Transpose(g.coefBuf, g.work, m)
 	// R2b: ξy rows = InvCos over u of S^T.
-	g.forLinePairs(func(slot, y0, y1 int) {
-		sc := &g.slots[slot]
+	g.forLinePairs(func(y0, y1 int) {
 		if y1 < 0 {
-			plan.InvCosTo(g.coefBuf[y0*m:y0*m+m], g.ey[y0*m:y0*m+m], sc.fs)
+			plan.InvCosTo(g.coefBuf[y0*m:y0*m+m], g.ey[y0*m:y0*m+m])
 			return
 		}
 		plan.InvCosPairTo(g.coefBuf[y0*m:y0*m+m], g.coefBuf[y1*m:y1*m+m],
-			g.ey[y0*m:y0*m+m], g.ey[y1*m:y1*m+m], sc.fs)
+			g.ey[y0*m:y0*m+m], g.ey[y1*m:y1*m+m])
 	})
 }
 
-// forLinePairs runs body(slot, a, b) over the grid's m lines in the fixed
-// packed pairing of par.ForPairs (b = -1 on the unpaired tail line of an
-// odd count). Pairs must write disjoint outputs; slot indexes per-worker
-// scratch.
-func (g *Electrostatic) forLinePairs(body func(slot, a, b int)) {
-	g.pool.ForPairs(g.m, body)
-}
-
-// transposeGrid writes the transpose of the m×m grid src into dst with
-// the cache-blocked transpose, sharding tile-aligned row bands across the
-// pool. A pure element move: sharding cannot affect the result.
-func (g *Electrostatic) transposeGrid(dst, src []float64) {
-	m := g.m
-	g.pool.ForShards(m, 32, func(_, lo, hi int) {
-		fft.TransposeBand(dst, src, m, lo, hi)
-	})
+// forLinePairs runs body(a, b) over the grid's m lines in the fixed packed
+// pairing (0,1), (2,3), …, with b = -1 on the unpaired tail line of an odd
+// count.
+func (g *Electrostatic) forLinePairs(body func(a, b int)) {
+	for a := 0; a < g.m; a += 2 {
+		b := a + 1
+		if b >= g.m {
+			b = -1
+		}
+		body(a, b)
+	}
 }
 
 // dot returns Σ a[i]·b[i] in index order.
@@ -542,25 +474,11 @@ func (g *Electrostatic) Energy() float64 {
 
 // AddGrad accumulates ∂N/∂x_i = -q_i·ξ(i) at the last Update's placement
 // into gradX/gradY, sampling that Update's field over each device's
-// (inflated) footprint weighted by bin overlap. Each device writes only
-// its own gradient entry, so the device shards run on the pool with no
-// reduction step.
+// (inflated) footprint weighted by bin overlap.
 func (g *Electrostatic) AddGrad(gradX, gradY []float64) {
 	t0 := g.Tracer.Now()
-	nd := len(g.scale)
-	shards := par.ShardCount(nd, devGrain)
-	g.pool.Run(shards, func(s int) {
-		lo, hi := par.ShardRange(nd, shards, s)
-		g.sample(gradX, gradY, lo, hi)
-	})
-	g.Tracer.Kernel("field_sample", t0)
-}
-
-// sample adds the field force of devices [lo, hi) into gradX/gradY.
-func (g *Electrostatic) sample(gradX, gradY []float64, lo, hi int) {
 	m := g.m
-	for i := lo; i < hi; i++ {
-		scale := g.scale[i]
+	for i, scale := range g.scale {
 		xs, ys := g.footprint(i)
 		var fx, fy float64
 		for _, y := range ys {
@@ -575,6 +493,7 @@ func (g *Electrostatic) sample(gradX, gradY []float64, lo, hi int) {
 		gradX[i] -= fx
 		gradY[i] -= fy
 	}
+	g.Tracer.Kernel("field_sample", t0)
 }
 
 // Overflow returns the density overflow ratio τ: the total device area in

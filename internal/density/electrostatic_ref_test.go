@@ -5,21 +5,73 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/fft"
 	"repro/internal/geom"
-	"repro/internal/par"
 )
+
+// denseBasis evaluates the trig transforms of length m as dense O(m²)
+// matrix-vector products over the basis cos/sin(πk(2j+1)/(2m)), stored at
+// [k*m+j].
+type denseBasis struct {
+	m              int
+	cosTab, sinTab []float64
+}
+
+func newDenseBasis(m int) *denseBasis {
+	b := &denseBasis{m: m, cosTab: make([]float64, m*m), sinTab: make([]float64, m*m)}
+	for k := 0; k < m; k++ {
+		for j := 0; j < m; j++ {
+			// Reduce the angle index k(2j+1) mod 4m in exact integer
+			// arithmetic, so the float64 argument stays below 2π.
+			arg := math.Pi * float64((k*(2*j+1))%(4*m)) / (2 * float64(m))
+			b.cosTab[k*m+j] = math.Cos(arg)
+			b.sinTab[k*m+j] = math.Sin(arg)
+		}
+	}
+	return b
+}
+
+// DCT2 computes out[k] = Σ_j x[j]·cos(πk(2j+1)/(2m)).
+func (b *denseBasis) DCT2(x, out []float64) {
+	m := b.m
+	for k := 0; k < m; k++ {
+		row := b.cosTab[k*m : (k+1)*m]
+		var sum float64
+		for j := 0; j < m; j++ {
+			sum += x[j] * row[j]
+		}
+		out[k] = sum
+	}
+}
+
+// InvCos computes out[j] = Σ_k a[k]·cos(πk(2j+1)/(2m)).
+func (b *denseBasis) InvCos(a, out []float64) { b.series(b.cosTab, a, out) }
+
+// InvSin computes out[j] = Σ_k a[k]·sin(πk(2j+1)/(2m)).
+func (b *denseBasis) InvSin(a, out []float64) { b.series(b.sinTab, a, out) }
+
+func (b *denseBasis) series(tab, a, out []float64) {
+	m := b.m
+	for j := range out {
+		out[j] = 0
+	}
+	for k := 0; k < m; k++ {
+		row := tab[k*m : (k+1)*m]
+		for j := 0; j < m; j++ {
+			out[j] += a[k] * row[j]
+		}
+	}
+}
 
 // denseReference recomputes ψ, ξx, ξy, and the energy of g's current ρ
 // with the textbook dense pipeline the packed solve replaced: explicit
-// mean neutralization, 2-D DCT-II via the O(N²) MatVec references (rows,
-// then stride-gathered columns), a separate normalization sweep, three
+// mean neutralization, 2-D DCT-II via dense O(N²) transforms (rows, then
+// stride-gathered columns), a separate normalization sweep, three
 // independently built coefficient grids with per-element wu/wv math, and
-// three independent 2-D MatVec reconstructions. Deliberately naive — it
-// shares no code with the fast path beyond the dense basis tables.
+// three independent dense 2-D reconstructions. Deliberately naive — it
+// shares no code with the fast path.
 func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
 	m := g.m
-	p := fft.NewPlan(m)
+	p := newDenseBasis(m)
 	a := make([]float64, m*m)
 	var mean float64
 	for _, v := range g.rho {
@@ -34,13 +86,13 @@ func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
 	out := make([]float64, m)
 	for y := 0; y < m; y++ {
 		copy(buf, a[y*m:(y+1)*m])
-		p.DCT2MatVec(buf, a[y*m:(y+1)*m])
+		p.DCT2(buf, a[y*m:(y+1)*m])
 	}
 	for u := 0; u < m; u++ {
 		for y := 0; y < m; y++ {
 			buf[y] = a[y*m+u]
 		}
-		p.DCT2MatVec(buf, out)
+		p.DCT2(buf, out)
 		for v := 0; v < m; v++ {
 			a[v*m+u] = out[v]
 		}
@@ -74,12 +126,12 @@ func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
 		}
 	}
 	reconstruct := func(dst []float64, sinX, sinY bool) {
-		invX, invY := p.InvCosMatVec, p.InvCosMatVec
+		invX, invY := p.InvCos, p.InvCos
 		if sinX {
-			invX = p.InvSinMatVec
+			invX = p.InvSin
 		}
 		if sinY {
-			invY = p.InvSinMatVec
+			invY = p.InvSin
 		}
 		for v := 0; v < m; v++ {
 			copy(buf, coef[v*m:(v+1)*m])
@@ -160,44 +212,6 @@ func TestElectrostaticMatchesDenseReference(t *testing.T) {
 		}
 		if d := math.Abs(g.Energy() - refE); d > 1e-10*(1+math.Abs(refE)) {
 			t.Fatalf("m=%d: Energy = %.17g, dense reference %.17g", m, g.Energy(), refE)
-		}
-	}
-}
-
-// TestElectrostaticThreadInvariance checks the packed line-pair sharding
-// keeps every solve output bit-identical between inline execution and
-// pools of assorted worker counts — including counts that do not divide
-// the pair count evenly. Byte equality, not tolerance: the determinism
-// contract is exact.
-func TestElectrostaticThreadInvariance(t *testing.T) {
-	for _, m := range []int{8, 32, 128} {
-		span := float64(4 * m)
-		n, p := scatter(40, span/12, span)
-		want := NewElectrostatic(m, geom.RectWH(0, 0, span, span))
-		want.Update(n, p)
-		wantE := want.Energy()
-		for _, threads := range []int{2, 3, 5, 8} {
-			pool := par.NewPool(threads)
-			g := NewElectrostaticPool(m, geom.RectWH(0, 0, span, span), pool)
-			g.Update(n, p)
-			for name, pair := range map[string][2][]float64{
-				"rho": {g.rho, want.rho},
-				"psi": {g.psi, want.psi},
-				"ex":  {g.ex, want.ex},
-				"ey":  {g.ey, want.ey},
-			} {
-				got, ref := pair[0], pair[1]
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("m=%d threads=%d: %s[%d] = %.17g, inline %.17g (must be bit-equal)",
-							m, threads, name, i, got[i], ref[i])
-					}
-				}
-			}
-			if e := g.Energy(); e != wantE {
-				t.Fatalf("m=%d threads=%d: Energy = %.17g, inline %.17g", m, threads, e, wantE)
-			}
-			pool.Close()
 		}
 	}
 }

@@ -113,10 +113,10 @@ func bitsDiffer(a, b []float64) int {
 }
 
 // TestElectrostaticMatchesPerBinReference pins the footprint tables to the
-// per-bin loops bit for bit, inline and on a 3-worker pool, over the five
-// circuits the eplace benchmark places plus gen:48@49, whose 48 devices
-// make two raster shards. The m = 32 grid covers the region ePlace-A
-// gives each netlist at its default utilization of 0.8. The reference ρ
+// per-bin loops bit for bit over the five circuits the eplace benchmark
+// places plus gen:48@49, whose 48 devices make two raster shards. The
+// m = 32 grid covers the region ePlace-A gives each netlist at its
+// default utilization of 0.8. The reference ρ
 // goes through the same solve, so ψ, ξ and Energy check the pipeline
 // around the tables; fft's reference test pins the transforms themselves.
 // Placements spread devices across and beyond the region edges (where the
@@ -124,8 +124,6 @@ func bitsDiffer(a, b []float64) int {
 // stale table entries from a previous Update would show.
 func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 	const m = 32
-	pool := par.NewPool(3)
-	defer pool.Close()
 	// gen:48@49 also gets devices narrower, shorter, or both, than an m = 32
 	// bin (inflated, with their charge scaled), and one wider than the
 	// region (clipped).
@@ -149,7 +147,6 @@ func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 		region := geom.RectWH(0, 0, side, side)
 		grids := map[string]*Electrostatic{
 			"inline": NewElectrostatic(m, region),
-			"pool3":  NewElectrostaticPool(m, region, pool),
 		}
 		ref := NewElectrostatic(m, region)
 		nd := len(n.Devices)

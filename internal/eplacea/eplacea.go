@@ -19,7 +19,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nlopt"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/wl"
 )
 
@@ -79,14 +78,6 @@ type Options struct {
 	// obs.Tracer.Kernel). Telemetry is observation-only; a nil Tracer
 	// costs one pointer check.
 	Tracer *obs.Tracer
-
-	// Pool, when non-nil, parallelizes the wirelength-gradient, density
-	// rasterization, Poisson solve, and field-sampling kernels. The solve
-	// fans its packed line-pair FFT passes out via par.ForPairs (two grid
-	// lines per complex FFT; see internal/density). Results are
-	// bit-identical to a nil Pool at any worker count (deterministic
-	// sharding; see internal/par). The caller owns the pool's lifetime.
-	Pool *par.Pool
 
 	// Warm, when non-nil, turns the run into an incremental (ECO)
 	// re-solve: device coordinates start from a prior placement and
@@ -236,14 +227,14 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra E
 
 	side := math.Sqrt(n.TotalDeviceArea() / opt.Util)
 	region := geom.RectWH(0, 0, side, side)
-	grid := density.NewElectrostaticPool(opt.GridM, region, opt.Pool)
+	grid := density.NewElectrostatic(opt.GridM, region)
 	binW := region.W() / float64(opt.GridM)
 
 	smoother := wl.WA
 	if opt.UseLSE {
 		smoother = wl.LSE
 	}
-	wlEv := wl.NewEvaluatorPool(n, smoother, 4*binW, opt.Pool)
+	wlEv := wl.NewEvaluator(n, smoother, 4*binW)
 	areaEv := wl.NewAreaEvaluator(n, 4*binW)
 	grid.Tracer, wlEv.Tracer = opt.Tracer, opt.Tracer
 

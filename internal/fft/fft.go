@@ -6,9 +6,7 @@
 // DCT-II uses the Makhoul even-odd permutation and one length-N FFT, the
 // inverse cosine series inverts that recombination with one length-N IFFT,
 // and the sine series reduces to the cosine series by index reversal
-// (see the derivation on InvCosTo/InvSinTo). The dense O(N²) matVec path
-// the package used to ship survives as the *MatVec reference methods,
-// which validation tests and micro-benchmarks diff the fast path against.
+// (see the derivation on InvCosTo/InvSinTo).
 package fft
 
 import (
@@ -16,15 +14,11 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
 )
 
-// Plan holds precomputed tables for 1-D trig transforms of a fixed size N
-// (a power of two). A Plan is immutable after construction and safe to
-// share between goroutines through the *To methods, each caller passing
-// its own Scratch; the scratch-less convenience methods (DCT2, InvCos,
-// InvSin) reuse one plan-owned Scratch and are therefore not safe for
-// concurrent use.
+// Plan holds precomputed tables and the staging buffer for 1-D trig
+// transforms of a fixed size N (a power of two). Its transforms share the
+// buffer, so a Plan is not safe for concurrent use.
 type Plan struct {
 	n         int
 	rev       []int        // bit-reversal permutation of 0..N-1
@@ -32,19 +26,7 @@ type Plan struct {
 	untwiddle []complex128 // e^{+iπk/(2N)}, k = 0..N-1 (inverse)
 	fwdStage  []complex128 // per-stage forward FFT twiddles; see stageTables
 	invStage  []complex128 // per-stage inverse FFT twiddles
-	own       *Scratch     // scratch for the non-concurrent methods
-
-	// Dense O(N²) reference tables, built lazily by the *MatVec methods
-	// only: the production transforms never touch them.
-	refOnce sync.Once
-	cosTab  []float64 // cos(πk(2n+1)/(2N)) at [k*N+n]
-	sinTab  []float64 // sin(πk(2n+1)/(2N)) at [k*N+n]
-}
-
-// Scratch is the per-goroutine workspace of a Plan's transforms. Distinct
-// goroutines sharing one Plan must use distinct Scratches.
-type Scratch struct {
-	cbuf []complex128 // FFT staging buffer, filled in bit-reversed order
+	cbuf      []complex128 // FFT staging buffer, filled in bit-reversed order
 }
 
 // NewPlan builds a plan for transforms of length n (power of two).
@@ -57,6 +39,7 @@ func NewPlan(n int) *Plan {
 		rev:       make([]int, n),
 		twiddle:   make([]complex128, n),
 		untwiddle: make([]complex128, n),
+		cbuf:      make([]complex128, n),
 	}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := range p.rev {
@@ -68,7 +51,6 @@ func NewPlan(n int) *Plan {
 		p.untwiddle[k] = cmplx.Exp(complex(0, arg))
 	}
 	p.fwdStage, p.invStage = stageTables(n)
-	p.own = p.NewScratch()
 	return p
 }
 
@@ -140,43 +122,16 @@ func butterflies(x, tw []complex128) {
 	}
 }
 
-// NewScratch allocates a workspace sized for this plan.
-func (p *Plan) NewScratch() *Scratch {
-	return &Scratch{
-		cbuf: make([]complex128, p.n),
-	}
-}
-
 // N returns the plan's transform length.
 func (p *Plan) N() int { return p.n }
 
-// DCT2 computes the unnormalized DCT-II
+// DCT2To computes the unnormalized DCT-II
 //
 //	out[k] = Σ_{n} x[n]·cos(πk(2n+1)/(2N))
 //
 // using the Makhoul even-odd permutation and a single length-N FFT.
-// x and out may alias. Not safe for concurrent use; see DCT2To.
-func (p *Plan) DCT2(x, out []float64) { p.DCT2To(x, out, p.own) }
-
-// InvCos evaluates the cosine series
-//
-//	out[j] = Σ_{k=0}^{N-1} a[k]·cos(πk(2j+1)/(2N))
-//
-// (the caller folds any α_k normalization into a). a and out may not alias.
-// Not safe for concurrent use; see InvCosTo.
-func (p *Plan) InvCos(a, out []float64) { p.InvCosTo(a, out, p.own) }
-
-// InvSin evaluates the sine series
-//
-//	out[j] = Σ_{k=0}^{N-1} a[k]·sin(πk(2j+1)/(2N))
-//
-// (the k = 0 term is identically zero). a and out may not alias.
-// Not safe for concurrent use; see InvSinTo.
-func (p *Plan) InvSin(a, out []float64) { p.InvSinTo(a, out, p.own) }
-
-// DCT2To is DCT2 with caller-supplied scratch, safe for concurrent use with
-// a scratch per goroutine.
-func (p *Plan) DCT2To(x, out []float64, s *Scratch) {
+// x and out may alias.
+func (p *Plan) DCT2To(x, out []float64) {
 	n := p.n
 	if len(x) != n || len(out) != n {
 		panic("fft: DCT2 size mismatch")
@@ -184,20 +139,23 @@ func (p *Plan) DCT2To(x, out []float64, s *Scratch) {
 	half := n / 2
 	rev := p.rev
 	for i := 0; i < half; i++ {
-		s.cbuf[rev[i]] = complex(x[2*i], 0)
-		s.cbuf[rev[n-1-i]] = complex(x[2*i+1], 0)
+		p.cbuf[rev[i]] = complex(x[2*i], 0)
+		p.cbuf[rev[n-1-i]] = complex(x[2*i+1], 0)
 	}
 	if n == 1 {
-		s.cbuf[0] = complex(x[0], 0)
+		p.cbuf[0] = complex(x[0], 0)
 	}
-	butterflies(s.cbuf, p.fwdStage)
+	butterflies(p.cbuf, p.fwdStage)
 	for k := 0; k < n; k++ {
-		out[k] = real(p.twiddle[k] * s.cbuf[k])
+		out[k] = real(p.twiddle[k] * p.cbuf[k])
 	}
 }
 
-// InvCosTo is InvCos with caller-supplied scratch, safe for concurrent use
-// with a scratch per goroutine.
+// InvCosTo evaluates the cosine series
+//
+//	out[j] = Σ_{k=0}^{N-1} a[k]·cos(πk(2j+1)/(2N))
+//
+// (the caller folds any α_k normalization into a). a and out may not alias.
 //
 // Derivation (the Makhoul recombination run backwards): DCT2To computes
 // C[k] = Re(e^{-iπk/(2N)}·V[k]) with V the FFT of the even-odd permuted
@@ -207,8 +165,8 @@ func (p *Plan) DCT2To(x, out []float64, s *Scratch) {
 // unnormalized DCT-II of the coefficients b[0] = N·a[0], b[k] = N/2·a[k],
 // so the spectrum is recovered as V[k] = e^{+iπk/(2N)}·(b[k] − i·b[N−k]),
 // one IFFT yields v, and undoing the even-odd permutation yields out —
-// O(N log N) against the O(N²) dense evaluation of InvCosMatVec.
-func (p *Plan) InvCosTo(a, out []float64, s *Scratch) {
+// O(N log N) against the O(N²) dense evaluation of the series.
+func (p *Plan) InvCosTo(a, out []float64) {
 	n := p.n
 	if len(a) != n || len(out) != n {
 		panic("fft: transform size mismatch")
@@ -218,19 +176,22 @@ func (p *Plan) InvCosTo(a, out []float64, s *Scratch) {
 		return
 	}
 	rev := p.rev
-	s.cbuf[0] = complex(a[0], 0)
+	p.cbuf[0] = complex(a[0], 0)
 	for k := 1; k < n; k++ {
-		s.cbuf[rev[k]] = p.untwiddle[k] * complex(a[k]/2, -a[n-k]/2)
+		p.cbuf[rev[k]] = p.untwiddle[k] * complex(a[k]/2, -a[n-k]/2)
 	}
-	butterflies(s.cbuf, p.invStage)
+	butterflies(p.cbuf, p.invStage)
 	for i := 0; i < n/2; i++ {
-		out[2*i] = real(s.cbuf[i])
-		out[2*i+1] = real(s.cbuf[n-1-i])
+		out[2*i] = real(p.cbuf[i])
+		out[2*i+1] = real(p.cbuf[n-1-i])
 	}
 }
 
-// InvSinTo is InvSin with caller-supplied scratch, safe for concurrent use
-// with a scratch per goroutine.
+// InvSinTo evaluates the sine series
+//
+//	out[j] = Σ_{k=0}^{N-1} a[k]·sin(πk(2j+1)/(2N))
+//
+// (the k = 0 term is identically zero). a and out may not alias.
 //
 // The sine series reduces to the cosine series through the identity
 // sin(πk(2j+1)/(2N)) = (−1)^j·cos(π(N−k)(2j+1)/(2N)): running InvCosTo on
@@ -240,7 +201,7 @@ func (p *Plan) InvCosTo(a, out []float64, s *Scratch) {
 // directly into the spectrum construction (ã[k] = a[n−k], ã[n−k] = a[k]),
 // so no coefficient staging buffer is needed — the float operations are
 // bit-identical to materializing ã and calling InvCosTo.
-func (p *Plan) InvSinTo(a, out []float64, s *Scratch) {
+func (p *Plan) InvSinTo(a, out []float64) {
 	n := p.n
 	if len(a) != n || len(out) != n {
 		panic("fft: transform size mismatch")
@@ -250,14 +211,14 @@ func (p *Plan) InvSinTo(a, out []float64, s *Scratch) {
 		return
 	}
 	rev := p.rev
-	s.cbuf[0] = 0
+	p.cbuf[0] = 0
 	for k := 1; k < n; k++ {
-		s.cbuf[rev[k]] = p.untwiddle[k] * complex(a[n-k]/2, -a[k]/2)
+		p.cbuf[rev[k]] = p.untwiddle[k] * complex(a[n-k]/2, -a[k]/2)
 	}
-	butterflies(s.cbuf, p.invStage)
+	butterflies(p.cbuf, p.invStage)
 	for i := 0; i < n/2; i++ {
-		out[2*i] = real(s.cbuf[i])
-		out[2*i+1] = -real(s.cbuf[n-1-i])
+		out[2*i] = real(p.cbuf[i])
+		out[2*i+1] = -real(p.cbuf[n-1-i])
 	}
 }
 
@@ -269,8 +230,7 @@ func (p *Plan) InvSinTo(a, out []float64, s *Scratch) {
 // V₁[k] = (Z[k] − conj(Z[N−k]))/(2i), after which each line gets the
 // usual quarter-wave post-twiddle. Halves the FFT work of the row/column
 // passes in the spectral Poisson solve. xi and outi may alias pairwise.
-// Safe for concurrent use with a scratch per goroutine.
-func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64, s *Scratch) {
+func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64) {
 	n := p.n
 	if len(x0) != n || len(x1) != n || len(out0) != n || len(out1) != n {
 		panic("fft: transform size mismatch")
@@ -281,14 +241,14 @@ func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64, s *Scratch) {
 	}
 	rev := p.rev
 	for i := 0; i < n/2; i++ {
-		s.cbuf[rev[i]] = complex(x0[2*i], x1[2*i])
-		s.cbuf[rev[n-1-i]] = complex(x0[2*i+1], x1[2*i+1])
+		p.cbuf[rev[i]] = complex(x0[2*i], x1[2*i])
+		p.cbuf[rev[n-1-i]] = complex(x0[2*i+1], x1[2*i+1])
 	}
-	butterflies(s.cbuf, p.fwdStage)
-	out0[0] = real(s.cbuf[0])
-	out1[0] = imag(s.cbuf[0])
+	butterflies(p.cbuf, p.fwdStage)
+	out0[0] = real(p.cbuf[0])
+	out1[0] = imag(p.cbuf[0])
 	for k := 1; k < n; k++ {
-		zk, zn := s.cbuf[k], s.cbuf[n-k]
+		zk, zn := p.cbuf[k], p.cbuf[n-k]
 		v0r := (real(zk) + real(zn)) / 2
 		v0i := (imag(zk) - imag(zn)) / 2
 		v1r := (imag(zk) + imag(zn)) / 2
@@ -304,9 +264,8 @@ func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64, s *Scratch) {
 // InvCosTo) is Hermitian — its inverse FFT is real — so both pack into
 // one complex spectrum Z = V₀ + i·V₁; after one inverse FFT the real part
 // carries line 0 and the imaginary part line 1, each undoing the even-odd
-// permutation. ai and outi may alias pairwise. Safe for concurrent use
-// with a scratch per goroutine.
-func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
+// permutation. ai and outi may alias pairwise.
+func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64) {
 	n := p.n
 	if len(a0) != n || len(a1) != n || len(out0) != n || len(out1) != n {
 		panic("fft: transform size mismatch")
@@ -316,14 +275,14 @@ func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
 		return
 	}
 	rev := p.rev
-	s.cbuf[0] = complex(a0[0], a1[0])
+	p.cbuf[0] = complex(a0[0], a1[0])
 	for k := 1; k < n; k++ {
 		// V₀[k] + i·V₁[k] with Vj[k] = untwiddle[k]·(aj[k] − i·aj[n−k])/2.
-		s.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[k]+a1[n-k])/2, (a1[k]-a0[n-k])/2)
+		p.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[k]+a1[n-k])/2, (a1[k]-a0[n-k])/2)
 	}
-	butterflies(s.cbuf, p.invStage)
+	butterflies(p.cbuf, p.invStage)
 	for i := 0; i < n/2; i++ {
-		zi, zo := s.cbuf[i], s.cbuf[n-1-i]
+		zi, zo := p.cbuf[i], p.cbuf[n-1-i]
 		out0[2*i] = real(zi)
 		out0[2*i+1] = real(zo)
 		out1[2*i] = imag(zi)
@@ -335,9 +294,8 @@ func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
 // lines with a single complex FFT: InvCosPairTo on the index-reversed
 // coefficients of both lines (folded into the spectrum construction, as
 // in InvSinTo) with the odd-output sign flip applied to both unpacked
-// lines. ai and outi may alias pairwise. Safe for concurrent use with a
-// scratch per goroutine.
-func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
+// lines. ai and outi may alias pairwise.
+func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64) {
 	n := p.n
 	if len(a0) != n || len(a1) != n || len(out0) != n || len(out1) != n {
 		panic("fft: transform size mismatch")
@@ -347,13 +305,13 @@ func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
 		return
 	}
 	rev := p.rev
-	s.cbuf[0] = 0
+	p.cbuf[0] = 0
 	for k := 1; k < n; k++ {
-		s.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[n-k]+a1[k])/2, (a1[n-k]-a0[k])/2)
+		p.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[n-k]+a1[k])/2, (a1[n-k]-a0[k])/2)
 	}
-	butterflies(s.cbuf, p.invStage)
+	butterflies(p.cbuf, p.invStage)
 	for i := 0; i < n/2; i++ {
-		zi, zo := s.cbuf[i], s.cbuf[n-1-i]
+		zi, zo := p.cbuf[i], p.cbuf[n-1-i]
 		out0[2*i] = real(zi)
 		out0[2*i+1] = -real(zo)
 		out1[2*i] = imag(zi)
@@ -367,117 +325,21 @@ func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64, s *Scratch) {
 // L1 instead of striding the full matrix.
 const transposeTile = 32
 
-// TransposeBand writes the transpose of rows [lo, hi) of the n×n
-// row-major matrix src into dst (dst[j*n+i] = src[i*n+j] for i in
-// [lo, hi), all j). Cache-blocked in transposeTile×transposeTile tiles so
-// neither side of the copy strides the whole matrix. dst and src must not
-// overlap. Bands write disjoint dst columns, so callers may shard bands
-// across workers; the result is a pure element move, identical under any
-// sharding.
-func TransposeBand(dst, src []float64, n, lo, hi int) {
-	for i0 := lo; i0 < hi; i0 += transposeTile {
-		i1 := i0 + transposeTile
-		if i1 > hi {
-			i1 = hi
-		}
+// Transpose writes the transpose of the n×n row-major matrix src into dst
+// (dst[j*n+i] = src[i*n+j]). Cache-blocked in transposeTile×transposeTile
+// tiles so neither side of the copy strides the whole matrix. dst and src
+// must not overlap.
+func Transpose(dst, src []float64, n int) {
+	for i0 := 0; i0 < n; i0 += transposeTile {
+		i1 := min(i0+transposeTile, n)
 		for j0 := 0; j0 < n; j0 += transposeTile {
-			j1 := j0 + transposeTile
-			if j1 > n {
-				j1 = n
-			}
+			j1 := min(j0+transposeTile, n)
 			for i := i0; i < i1; i++ {
 				row := src[i*n : i*n+n]
 				for j := j0; j < j1; j++ {
 					dst[j*n+i] = row[j]
 				}
 			}
-		}
-	}
-}
-
-// Transpose writes the transpose of the n×n row-major matrix src into
-// dst. dst and src must not overlap; see TransposeBand.
-func Transpose(dst, src []float64, n int) {
-	TransposeBand(dst, src, n, 0, n)
-}
-
-// refTables lazily builds the dense cosine/sine basis tables backing the
-// *MatVec reference methods. Production code never calls this; only the
-// validation tests and micro-benchmarks pay the O(N²) memory.
-func (p *Plan) refTables() ([]float64, []float64) {
-	p.refOnce.Do(func() {
-		n := p.n
-		p.cosTab = make([]float64, n*n)
-		p.sinTab = make([]float64, n*n)
-		for k := 0; k < n; k++ {
-			for j := 0; j < n; j++ {
-				// Reduce the angle index k(2j+1) mod 4N in exact integer
-				// arithmetic before converting to radians: the basis has
-				// period 4N in that index, and keeping the float64 argument
-				// below 2π avoids the ~ε·|arg| trig-argument rounding that a
-				// direct πk(2j+1)/(2N) evaluation accumulates at large N.
-				m := (k * (2*j + 1)) % (4 * n)
-				arg := math.Pi * float64(m) / (2 * float64(n))
-				p.cosTab[k*n+j] = math.Cos(arg)
-				p.sinTab[k*n+j] = math.Sin(arg)
-			}
-		}
-	})
-	return p.cosTab, p.sinTab
-}
-
-// InvCosMatVec is the dense O(N²) reference evaluation of InvCos, the
-// implementation the fast path replaced. It exists to validate and
-// benchmark InvCosTo and is safe for concurrent use after the first call.
-func (p *Plan) InvCosMatVec(a, out []float64) {
-	cosTab, _ := p.refTables()
-	p.matVec(cosTab, a, out)
-}
-
-// InvSinMatVec is the dense O(N²) reference evaluation of InvSin; see
-// InvCosMatVec.
-func (p *Plan) InvSinMatVec(a, out []float64) {
-	_, sinTab := p.refTables()
-	p.matVec(sinTab, a, out)
-}
-
-// DCT2MatVec is the dense O(N²) reference evaluation of DCT2: the forward
-// transform shares the cosine basis with InvCos, with the roles of k and j
-// swapped (out[k] = Σ_j x[j]·cos(πk(2j+1)/(2N))). x and out must not
-// alias. See InvCosMatVec for why this exists.
-func (p *Plan) DCT2MatVec(x, out []float64) {
-	cosTab, _ := p.refTables()
-	n := p.n
-	if len(x) != n || len(out) != n {
-		panic("fft: transform size mismatch")
-	}
-	for k := 0; k < n; k++ {
-		row := cosTab[k*n : (k+1)*n]
-		var sum float64
-		for j := 0; j < n; j++ {
-			sum += x[j] * row[j]
-		}
-		out[k] = sum
-	}
-}
-
-// matVec computes out[j] = Σ_k a[k]·tab[k*N+j].
-func (p *Plan) matVec(tab, a, out []float64) {
-	n := p.n
-	if len(a) != n || len(out) != n {
-		panic("fft: transform size mismatch")
-	}
-	for j := 0; j < n; j++ {
-		out[j] = 0
-	}
-	for k := 0; k < n; k++ {
-		ak := a[k]
-		if ak == 0 {
-			continue
-		}
-		row := tab[k*n : (k+1)*n]
-		for j := 0; j < n; j++ {
-			out[j] += ak * row[j]
 		}
 	}
 }

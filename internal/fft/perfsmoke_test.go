@@ -32,7 +32,6 @@ func timeTransform(reps int, f func()) time.Duration {
 func TestPerfSmokeFastBeatsMatVec(t *testing.T) {
 	const n, reps, inner = 512, 5, 20
 	p := NewPlan(n)
-	s := p.NewScratch()
 	rng := rand.New(rand.NewSource(21))
 	a := make([]float64, n)
 	for i := range a {
@@ -45,9 +44,9 @@ func TestPerfSmokeFastBeatsMatVec(t *testing.T) {
 		fast func()
 		ref  func()
 	}{
-		{"DCT2", func() { p.DCT2To(a, out, s) }, func() { p.DCT2MatVec(a, out) }},
-		{"InvCos", func() { p.InvCosTo(a, out, s) }, func() { p.InvCosMatVec(a, out) }},
-		{"InvSin", func() { p.InvSinTo(a, out, s) }, func() { p.InvSinMatVec(a, out) }},
+		{"DCT2", func() { p.DCT2To(a, out) }, func() { p.DCT2MatVec(a, out) }},
+		{"InvCos", func() { p.InvCosTo(a, out) }, func() { p.InvCosMatVec(a, out) }},
+		{"InvSin", func() { p.InvSinTo(a, out) }, func() { p.InvSinMatVec(a, out) }},
 	} {
 		fast := timeTransform(reps, func() {
 			for i := 0; i < inner; i++ {

@@ -271,10 +271,9 @@ func TestTransformsMatchFFTTabReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for n := 1; n <= 1024; n *= 2 {
 		p := NewPlan(n)
-		s := p.NewScratch()
 		singles := []struct {
 			name string
-			got  func(a, out []float64, s *Scratch)
+			got  func(a, out []float64)
 			want func(p *Plan, a, out []float64)
 		}{
 			{"DCT2To", p.DCT2To, refDCT2},
@@ -283,7 +282,7 @@ func TestTransformsMatchFFTTabReference(t *testing.T) {
 		}
 		pairs := []struct {
 			name string
-			got  func(a0, a1, out0, out1 []float64, s *Scratch)
+			got  func(a0, a1, out0, out1 []float64)
 			want func(p *Plan, a0, a1, out0, out1 []float64)
 		}{
 			{"DCT2PairTo", p.DCT2PairTo, refDCT2Pair},
@@ -296,7 +295,7 @@ func TestTransformsMatchFFTTabReference(t *testing.T) {
 				got0, got1 := make([]float64, n), make([]float64, n)
 				want0, want1 := make([]float64, n), make([]float64, n)
 				for _, tr := range singles {
-					tr.got(x0, got0, s)
+					tr.got(x0, got0)
 					tr.want(p, x0, want0)
 					if i, ok := sameBits(got0, want0); !ok {
 						t.Fatalf("n=%d kind=%d %s[%d] = %v (%#x), reference %v (%#x)", n, kind, tr.name, i,
@@ -304,7 +303,7 @@ func TestTransformsMatchFFTTabReference(t *testing.T) {
 					}
 				}
 				for _, tr := range pairs {
-					tr.got(x0, x1, got0, got1, s)
+					tr.got(x0, x1, got0, got1)
 					tr.want(p, x0, x1, want0, want1)
 					for line, gw := range [][2][]float64{{got0, want0}, {got1, want1}} {
 						if i, ok := sameBits(gw[0], gw[1]); !ok {

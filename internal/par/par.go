@@ -1,14 +1,12 @@
-// Package par provides a reusable worker pool with deterministic parallel
-// iteration primitives for the placement kernels.
+// Package par provides a reusable worker pool and the deterministic shard
+// geometry of the placement kernels.
 //
 // Determinism is the design constraint that shapes everything here. The
 // placement pipeline promises bit-identical results for a given seed
 // regardless of how many OS threads execute it (the CI byte-identity smoke
 // between placer and placerd depends on it, and so does cross-run QoR
 // comparison in the bench harness). Floating-point addition is not
-// associative, so "split the loop across goroutines and add into a shared
-// accumulator" would make results depend on scheduling. Instead every
-// reduction in this package follows the same discipline:
+// associative, so every sharded reduction follows the same discipline:
 //
 //  1. Work is split into shards whose count and boundaries depend only on
 //     the problem size — never on the worker count. ShardCount(n, grain)
@@ -17,9 +15,10 @@
 //     (per-shard buffers, or disjoint output ranges).
 //  3. Partials are merged sequentially in shard-index order.
 //
-// Steps 1 and 3 make the summation tree a function of the input alone, so
-// a Pool with 1 worker and a Pool with 64 workers produce identical bits.
-// Step 2 keeps the parallel phase race-free without locks.
+// Steps 1 and 3 make the summation tree a function of the input alone. The
+// GP kernels run their shards inline, in shard order; a Pool runs
+// coarse-grained independent tasks, the SA portfolio chains, whose
+// results are reduced in task order.
 //
 // A nil *Pool is valid everywhere and means "run inline on the calling
 // goroutine": library code can accept an optional pool without branching.
@@ -29,7 +28,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool is a fixed-size set of reusable workers. The zero value is not
@@ -37,48 +35,16 @@ import (
 // work inline on the caller, which keeps single-threaded paths free of
 // goroutine and channel overhead.
 //
-// Pool methods are safe for concurrent use by multiple goroutines, but the
-// shard functions submitted by concurrent Run calls share the worker set,
-// so per-worker scratch handed out by worker index must not be assumed
-// exclusive across overlapping Run calls. The placement kernels serialize
-// their Run calls per solver instance, which is the intended usage.
+// Pool methods are safe for concurrent use by multiple goroutines; the
+// tasks of concurrent Run calls share the worker set.
 type Pool struct {
 	workers int
-	timing  func(RunTiming) // optional per-Run timing observer
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signaled when tasks arrive or the pool closes
 	queue  []func()   // pending helper tasks; head is the next to run
 	head   int
 	closed bool
-}
-
-// RunTiming is one parallel Run's timing breakdown, reported to the
-// observer installed with SetTimingFunc. MaxShard−MinShard (or the ratio
-// against Wall) measures shard skew: how unevenly the deterministic shard
-// geometry split the actual work. Persistent skew on a kernel means its
-// grain constant is mis-sized for the workload.
-type RunTiming struct {
-	Shards   int           // shards executed
-	Workers  int           // worker slots that participated
-	Wall     time.Duration // whole Run call, including the merge barrier
-	MinShard time.Duration // fastest single shard
-	MaxShard time.Duration // slowest single shard
-	SumShard time.Duration // total shard CPU time (≈ Wall × utilization × workers)
-}
-
-// SetTimingFunc installs an observer called once per parallel Run with the
-// run's timing breakdown. Timing is observation-only — it never changes
-// shard geometry or merge order, so result bits are unaffected — but each
-// shard pays two clock reads, so it is skipped entirely (single pointer
-// check) when f is nil. Install before the first Run; the field is read
-// without synchronization. Inline runs (nil pool, or one shard) are not
-// reported: there is no skew to measure. A nil pool ignores the call.
-func (p *Pool) SetTimingFunc(f func(RunTiming)) {
-	if p == nil {
-		return
-	}
-	p.timing = f
 }
 
 // NewPool creates a pool with the given number of workers. workers <= 1
@@ -141,15 +107,6 @@ func (p *Pool) submit(fs []func()) {
 // logical CPU count. Exposed so flag defaults across the binaries agree.
 func NumCPU() int { return runtime.NumCPU() }
 
-// Workers reports the concurrency the pool schedules onto. A nil pool
-// reports 1 (inline execution).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 // Close shuts down the workers; already-queued tasks are drained first.
 // Calls to Run after Close panic. Close is idempotent and a nil pool
 // ignores it.
@@ -169,107 +126,40 @@ func (p *Pool) Close() {
 // workers; this is safe for determinism because shard outputs must be
 // disjoint — claiming order affects only scheduling, never results.
 //
-// A nil pool, shards <= 1, or a single worker degrades to an inline loop.
+// A nil pool or shards <= 1 degrades to an inline loop.
 func (p *Pool) Run(shards int, f func(shard int)) {
-	p.RunIndexed(shards, func(_, s int) { f(s) })
-}
-
-// RunIndexed is Run with a worker-slot index: f(slot, shard) with slot in
-// [0, Workers()). Within one RunIndexed call each slot is used by exactly
-// one goroutine, so the caller may hand out slot-indexed scratch without
-// locking. Which slot processes which shard is scheduling-dependent, so
-// results must depend only on shard, never on slot. Concurrent RunIndexed
-// calls reuse the same slot numbers — callers that overlap must index
-// into their own scratch arrays (one per solver instance), as the
-// placement kernels do.
-func (p *Pool) RunIndexed(shards int, f func(slot, shard int)) {
 	if p == nil || shards <= 1 {
 		for s := 0; s < shards; s++ {
-			f(0, s)
+			f(s)
 		}
 		return
 	}
-	var next atomic.Int64
-	workers := p.workers
-	if workers > shards {
-		workers = shards
-	}
-	timing := p.timing
-	var start time.Time
-	var slotStats []slotTiming
-	if timing != nil {
-		start = time.Now()
-		slotStats = make([]slotTiming, workers)
-	}
-	var completed atomic.Int64
+	var next, completed atomic.Int64
 	finished := make(chan struct{})
-	loop := func(slot int) {
+	loop := func() {
 		for {
 			s := int(next.Add(1)) - 1
 			if s >= shards {
 				return
 			}
-			if timing == nil {
-				f(slot, s)
-			} else {
-				t0 := time.Now()
-				f(slot, s)
-				slotStats[slot].observe(time.Since(t0))
-			}
+			f(s)
 			if completed.Add(1) == int64(shards) {
 				close(finished)
 			}
 		}
 	}
-	helpers := make([]func(), workers-1)
-	for i := 1; i < workers; i++ {
-		slot := i
-		helpers[i-1] = func() { loop(slot) }
+	helpers := make([]func(), min(p.workers, shards)-1)
+	for i := range helpers {
+		helpers[i] = loop
 	}
 	p.submit(helpers)
-	// The caller's goroutine participates as slot 0 so a pool of W
-	// workers drives W-way parallelism without idling the caller. Run
-	// waits for shard completion, not helper execution: helpers that
-	// never get a worker (all busy elsewhere) are harmless no-ops, and
-	// the caller finishes the shards itself.
-	loop(0)
+	// The caller's goroutine participates too, so a pool of W workers
+	// drives W-way parallelism without idling the caller. Run waits for
+	// shard completion, not helper execution: helpers that never get a
+	// worker (all busy elsewhere) are harmless no-ops, and the caller
+	// finishes the shards itself.
+	loop()
 	<-finished
-	if timing != nil {
-		t := RunTiming{Shards: shards, Workers: workers, Wall: time.Since(start)}
-		for _, st := range slotStats {
-			if st.count == 0 {
-				continue
-			}
-			t.SumShard += st.sum
-			if t.MinShard == 0 || st.min < t.MinShard {
-				t.MinShard = st.min
-			}
-			if st.max > t.MaxShard {
-				t.MaxShard = st.max
-			}
-		}
-		timing(t)
-	}
-}
-
-// slotTiming accumulates one worker slot's shard durations; slots are
-// exclusive within a Run, so no synchronization is needed until the final
-// sequential merge.
-type slotTiming struct {
-	count    int
-	sum      time.Duration
-	min, max time.Duration
-}
-
-func (s *slotTiming) observe(d time.Duration) {
-	s.count++
-	s.sum += d
-	if s.count == 1 || d < s.min {
-		s.min = d
-	}
-	if d > s.max {
-		s.max = d
-	}
 }
 
 // ShardCount returns the number of shards to split n items into given a
@@ -277,8 +167,7 @@ func (s *slotTiming) observe(d time.Duration) {
 // (never of worker count or GOMAXPROCS) so that shard boundaries — and
 // therefore floating-point merge order — are identical on every machine
 // and at every thread count. The result is capped at MaxShards, which
-// bounds per-shard buffer memory while leaving enough slack for dynamic
-// load balancing on any realistic core count.
+// bounds per-shard buffer memory.
 func ShardCount(n, grain int) int {
 	if grain < 1 {
 		grain = 1
@@ -294,8 +183,7 @@ func ShardCount(n, grain int) int {
 }
 
 // MaxShards caps ShardCount. Fixed (not derived from the machine) so shard
-// partitioning is portable; 64 shards load-balance well up to tens of
-// cores while keeping per-shard partial buffers affordable.
+// partitioning is portable.
 const MaxShards = 64
 
 // ShardRange returns the half-open index range [lo, hi) owned by shard s
@@ -310,53 +198,4 @@ func ShardRange(n, shards, s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ForShards splits n items into ShardCount(n, grain) shards and runs
-// body(shard, lo, hi) for each on the pool. It is the main entry point for
-// kernels: body writes shard-local partials, and the caller merges them in
-// shard order afterwards (or body's output ranges are disjoint and no
-// merge is needed). The shard geometry is identical for every pool,
-// including nil.
-func (p *Pool) ForShards(n, grain int, body func(shard, lo, hi int)) int {
-	shards := ShardCount(n, grain)
-	p.Run(shards, func(s int) {
-		lo, hi := ShardRange(n, shards, s)
-		body(s, lo, hi)
-	})
-	return shards
-}
-
-// ForPairs runs body(slot, a, b) for the fixed pairing (0,1), (2,3), … of
-// n items; when n is odd the final item forms a singleton and body
-// receives b = -1. Sharding is over PAIR indices — ShardCount(⌈n/2⌉, 1)
-// with contiguous pair ranges — so a shard boundary can never split a
-// pair, and the pairing is a pure function of n alone (never of worker
-// count). This is the sharding primitive for kernels that fuse two work
-// items into one pass, e.g. the density grid's packed real-FFT line
-// transforms, which pack two grid lines into one complex FFT: as long as
-// body's result for a pair depends only on (a, b), results are
-// bit-identical at every thread count. body must write disjoint outputs
-// per pair; slot indexes per-worker scratch as in RunIndexed.
-func (p *Pool) ForPairs(n int, body func(slot, a, b int)) {
-	pairs := (n + 1) / 2
-	shards := ShardCount(pairs, 1)
-	p.RunIndexed(shards, func(slot, s int) {
-		lo, hi := ShardRange(pairs, shards, s)
-		for q := lo; q < hi; q++ {
-			a := 2 * q
-			b := a + 1
-			if b >= n {
-				b = -1
-			}
-			body(slot, a, b)
-		}
-	})
 }

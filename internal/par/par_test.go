@@ -16,18 +16,6 @@ func TestNewPoolSmallIsNil(t *testing.T) {
 	}
 }
 
-func TestWorkers(t *testing.T) {
-	var nilPool *Pool
-	if got := nilPool.Workers(); got != 1 {
-		t.Errorf("nil pool Workers = %d, want 1", got)
-	}
-	p := NewPool(4)
-	defer p.Close()
-	if got := p.Workers(); got != 4 {
-		t.Errorf("Workers = %d, want 4", got)
-	}
-}
-
 func TestRunCoversAllShards(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		p := NewPool(workers)
@@ -87,10 +75,12 @@ func TestShardCountPureAndBounded(t *testing.T) {
 }
 
 // sumSharded reduces xs with the canonical pattern: per-shard partials
-// merged in shard order.
+// written on the pool, merged in shard order.
 func sumSharded(p *Pool, xs []float64) float64 {
-	partial := make([]float64, MaxShards)
-	shards := p.ForShards(len(xs), 32, func(s, lo, hi int) {
+	shards := ShardCount(len(xs), 32)
+	partial := make([]float64, shards)
+	p.Run(shards, func(s int) {
+		lo, hi := ShardRange(len(xs), shards, s)
 		acc := 0.0
 		for i := lo; i < hi; i++ {
 			acc += xs[i]
@@ -98,8 +88,8 @@ func sumSharded(p *Pool, xs []float64) float64 {
 		partial[s] = acc
 	})
 	total := 0.0
-	for s := 0; s < shards; s++ {
-		total += partial[s]
+	for _, v := range partial {
+		total += v
 	}
 	return total
 }
@@ -123,23 +113,6 @@ func TestDeterministicReduction(t *testing.T) {
 			}
 		}
 		p.Close()
-	}
-}
-
-func TestForShardsDisjointWrites(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	n := 5000
-	out := make([]int, n)
-	p.ForShards(n, 7, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i]++
-		}
-	})
-	for i, v := range out {
-		if v != 1 {
-			t.Fatalf("index %d written %d times", i, v)
-		}
 	}
 }
 
@@ -177,7 +150,7 @@ func TestRunLiveUnderSaturation(t *testing.T) {
 	go func() {
 		defer pinned.Done()
 		// Two long shards pin both workers... except the caller of this
-		// Run takes one of them as slot 0, so exactly one pool worker is
+		// Run takes one of them itself, so exactly one pool worker is
 		// occupied per long shard — run two concurrent Runs to pin both.
 		p.Run(2, func(int) { occupied.Done(); <-release })
 	}()
@@ -223,115 +196,4 @@ func TestRunAfterClosePanics(t *testing.T) {
 		}
 	}()
 	p.Run(4, func(int) {})
-}
-
-func TestTimingObserver(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var timings []RunTiming
-	p.SetTimingFunc(func(rt RunTiming) { timings = append(timings, rt) })
-
-	const shards = 12
-	var ran atomic.Int64
-	p.Run(shards, func(s int) {
-		ran.Add(1)
-		time.Sleep(time.Millisecond)
-	})
-	if got := ran.Load(); got != shards {
-		t.Fatalf("ran %d shards, want %d", got, shards)
-	}
-	if len(timings) != 1 {
-		t.Fatalf("observer called %d times, want 1", len(timings))
-	}
-	rt := timings[0]
-	if rt.Shards != shards || rt.Workers != 4 {
-		t.Errorf("timing %+v: want Shards=%d Workers=4", rt, shards)
-	}
-	if rt.MinShard <= 0 || rt.MaxShard < rt.MinShard || rt.SumShard < rt.MaxShard || rt.Wall <= 0 {
-		t.Errorf("inconsistent timing %+v", rt)
-	}
-
-	// Inline runs (one shard) are not reported.
-	p.Run(1, func(int) {})
-	if len(timings) != 1 {
-		t.Errorf("single-shard run reported timing: %d calls", len(timings))
-	}
-
-	// Timing must not change what executes: same shard set either way.
-	var seen sync.Mutex
-	got := map[int]bool{}
-	p.Run(7, func(s int) {
-		seen.Lock()
-		got[s] = true
-		seen.Unlock()
-	})
-	for s := 0; s < 7; s++ {
-		if !got[s] {
-			t.Errorf("shard %d not executed under timing", s)
-		}
-	}
-}
-
-func TestTimingNilPoolIgnored(t *testing.T) {
-	var p *Pool
-	p.SetTimingFunc(func(RunTiming) { t.Error("nil pool reported timing") })
-	p.Run(4, func(int) {})
-}
-
-func TestForPairsCoversAllItemsExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := NewPool(workers)
-		for _, n := range []int{0, 1, 2, 3, 5, 7, 31, 33, 128} {
-			hits := make([]atomic.Int32, n)
-			var singletons atomic.Int32
-			p.ForPairs(n, func(_, a, b int) {
-				hits[a].Add(1)
-				if b == -1 {
-					singletons.Add(1)
-				} else {
-					if b != a+1 || a%2 != 0 {
-						t.Errorf("n=%d: bad pair (%d, %d)", n, a, b)
-					}
-					hits[b].Add(1)
-				}
-			})
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: item %d visited %d times", workers, n, i, got)
-				}
-			}
-			wantSingles := int32(n % 2)
-			if got := singletons.Load(); got != wantSingles {
-				t.Fatalf("workers=%d n=%d: %d singletons, want %d", workers, n, got, wantSingles)
-			}
-		}
-		p.Close()
-	}
-}
-
-// TestForPairsPairingIsPureFunctionOfN: the (a, b) pairs handed out must
-// be identical for a nil pool and any pooled execution — the property the
-// packed-FFT line transforms' thread-count byte-identity rests on.
-func TestForPairsPairingIsPureFunctionOfN(t *testing.T) {
-	const n = 33
-	var nilPool *Pool
-	want := make(map[int]int, n)
-	nilPool.ForPairs(n, func(_, a, b int) { want[a] = b })
-	p := NewPool(5)
-	defer p.Close()
-	var mu sync.Mutex
-	got := make(map[int]int, n)
-	p.ForPairs(n, func(_, a, b int) {
-		mu.Lock()
-		got[a] = b
-		mu.Unlock()
-	})
-	if len(got) != len(want) {
-		t.Fatalf("pooled pairing has %d pairs, inline %d", len(got), len(want))
-	}
-	for a, b := range want {
-		if got[a] != b {
-			t.Errorf("pair starting at %d: pooled partner %d, inline %d", a, got[a], b)
-		}
-	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nlopt"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/wl"
 )
 
@@ -52,12 +51,6 @@ type Options struct {
 	// density_raster, density_grad; see obs.Tracer.Kernel). Nil costs one
 	// pointer check.
 	Tracer *obs.Tracer
-
-	// Pool, when non-nil, parallelizes the wirelength-gradient kernel.
-	// Results are bit-identical to a nil Pool at any worker count
-	// (deterministic sharding; see internal/par). The caller owns the
-	// pool's lifetime.
-	Pool *par.Pool
 
 	// Warm, when non-nil, turns the run into an incremental (ECO)
 	// re-solve: device coordinates start from the prior placement and
@@ -144,7 +137,7 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 	bell := density.NewBell(opt.GridM, region, 1.0)
 	binW := side / float64(opt.GridM)
 
-	wlEv := wl.NewEvaluatorPool(n, wl.LSE, 4*binW, opt.Pool)
+	wlEv := wl.NewEvaluator(n, wl.LSE, 4*binW)
 	wlEv.Tracer = opt.Tracer
 	// The bell model's two kernels are timed here at the call sites.
 	bellUpdate := func(pl *circuit.Placement) {

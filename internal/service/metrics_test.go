@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/netio"
 	"repro/internal/obs"
 )
 
@@ -175,33 +178,56 @@ func TestNonFiniteGaugeKeepsMetricsEncodable(t *testing.T) {
 	}
 }
 
-// TestPrivatePoolMetered checks a request that pins its thread count runs
-// on a private kernel pool the manager meters under the job's method and
-// size, and that the job's kernel timings reach placer_kernel_seconds
-// through the SpanSink on its tracer.
-func TestPrivatePoolMetered(t *testing.T) {
+// TestExplicitThreadsReachCore checks a request that pins its thread count
+// on a manager without a shared pool. The count reaches core, which builds
+// the SA chain pool, so a 4-chain SA job at threads 2 returns the bytes of
+// core.Place at one thread. The manager exports no par_ series, and an
+// eplace-a job's kernel timings reach placer_kernel_seconds through the
+// SpanSink on its tracer. Under the race detector the SA leg, about a
+// minute of annealing there, is left out; core's TestThreadCountByteIdentity
+// covers the chain pool raced.
+func TestExplicitThreadsReachCore(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueCap: 2, Threads: 1}) // no shared pool
 	defer drain(t, m)
-	j, err := m.Submit(SubmitRequest{Circuit: "Adder", Method: "eplace-a", Seed: 1, Portfolio: 1, Threads: 2})
+	ep, err := m.Submit(SubmitRequest{Circuit: "Adder", Method: "eplace-a", Seed: 1, Portfolio: 1, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, StateDone)
+	if !raceEnabled {
+		const circuit = "gen:4@1"
+		sa, err := m.Submit(SubmitRequest{Circuit: circuit, Method: "sa", Seed: 7, Chains: 4, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := netio.Load("", circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Place(n, core.MethodSA, core.Options{Seed: 7, Threads: 1, Chains: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := n.WritePlacementJSON(&want, res.Placement); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, sa, StateDone)
+		if got := sa.Status().Result.Placement; !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("SA job at threads 2 differs from core.Place at one thread:\n%s\nwant\n%s", got, want.Bytes())
+		}
+	}
+	waitState(t, ep, StateDone)
+
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	for _, want := range []string{
-		`par_run_seconds_count{method="eplace-a",size="xs"} `,
-		`par_shard_skew_ratio_count{method="eplace-a",size="xs"} `,
-		`placer_kernel_seconds_count{method="eplace-a",size="xs",kernel="poisson_solve"} `,
-	} {
-		if !strings.Contains(text, want) || strings.Contains(text, want+"0\n") {
-			t.Errorf("exposition lacks a nonzero %q:\n%s", want, text)
-		}
+	kernel := `placer_kernel_seconds_count{method="eplace-a",size="xs",kernel="poisson_solve"} `
+	if !strings.Contains(text, kernel) || strings.Contains(text, kernel+"0\n") {
+		t.Errorf("exposition lacks a nonzero %q:\n%s", kernel, text)
 	}
-	if strings.Contains(text, `method="all"`) {
-		t.Errorf("shared-pool series without a shared pool:\n%s", text)
+	if strings.Contains(text, "par_") {
+		t.Errorf("exposition has par_ series:\n%s", text)
 	}
 }

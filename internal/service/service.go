@@ -24,11 +24,11 @@
 // identical resubmission is served from the cache byte-for-byte without
 // touching the solvers.
 //
-// Kernel parallelism: the manager owns one machine-sized par.Pool shared
-// by all workers (core.Options.Pool) instead of each placement building
-// and tearing down its own; a request that pins an explicit thread count
-// runs on a private pool the manager builds, meters and closes around the
-// job's solve.
+// SA parallelism: the manager owns one machine-sized par.Pool shared by
+// all workers (core.Options.Pool), on which SA portfolio chains run; a
+// request that pins an explicit thread count passes it on as
+// core.Options.Threads, and core builds a chain pool of that size. The
+// eplace-a and prev flows run single-threaded either way.
 package service
 
 import (
@@ -110,10 +110,11 @@ type SubmitRequest struct {
 	// Refined results are never worse than unrefined at the same seed.
 	Refine        bool `json:"refine,omitempty"`
 	RefineWindows int  `json:"refine_windows,omitempty"`
-	// Threads overrides the per-job kernel worker count. Placement bits
-	// are identical at every value; only runtime changes. 0 (the default)
-	// runs the job on the manager's shared machine-sized pool; an explicit
-	// positive value gives the job a private pool of that size.
+	// Threads overrides the worker count of the job's SA chain pool; the
+	// eplace-a and prev flows run single-threaded. Placement bits are
+	// identical at every value; only runtime changes. 0 (the default)
+	// runs SA chains on the manager's shared machine-sized pool; an
+	// explicit positive value builds a pool of that size for the job.
 	Threads int `json:"threads,omitempty"`
 
 	// BaseJob re-places this (possibly edited) netlist against a finished
@@ -150,11 +151,10 @@ type JobSpec struct {
 	// Priority is the parsed scheduling class from Req.Priority.
 	Priority sched.Priority
 
-	// Pool, when non-nil, is the kernel worker pool handed to
-	// core.Options.Pool so placements skip per-call pool setup: the
-	// manager's shared pool, or for a request pinning an explicit thread
-	// count, the private pool of that size the manager builds when the
-	// job's solve starts (validation leaves it nil).
+	// Pool, when non-nil, is the manager's shared pool, handed to
+	// core.Options.Pool so SA chains skip per-call pool setup. It is nil
+	// for a request pinning an explicit thread count, whose Req.Threads
+	// sizes a chain pool core builds for the job.
 	Pool *par.Pool
 
 	// Warm, when non-nil, is the resolved warm start (ECO re-place) for
@@ -341,22 +341,22 @@ type Config struct {
 	// DefaultTimeout caps jobs whose request sets no timeout_sec (0 = no
 	// limit).
 	DefaultTimeout time.Duration
-	// Threads sizes the manager's shared kernel worker pool and fills
+	// Threads sizes the manager's shared SA chain pool and fills
 	// zero-valued request thread counts (0 sizes the pool to
-	// runtime.NumCPU(); 1 disables the shared pool, running kernels
-	// inline). Placement bits do not depend on it.
+	// runtime.NumCPU(); 1 disables the shared pool, running chains one
+	// after another). Placement bits do not depend on it.
 	Threads int
 	// Runner executes jobs (default DefaultRunner).
 	Runner Runner
 }
 
 // Manager owns the job table, the fair scheduler, the result cache, the
-// shared kernel pool, and the worker pool.
+// shared SA chain pool, and the worker pool.
 type Manager struct {
 	cfg     Config
 	sched   *sched.Queue
 	cache   *rescache.Cache // nil when caching is disabled
-	pool    *par.Pool       // shared kernel pool; nil runs kernels inline
+	pool    *par.Pool       // shared SA chain pool; nil runs chains in turn
 	poolEnd sync.Once       // closes pool after the last worker exits
 	wg      sync.WaitGroup
 	started time.Time
@@ -379,9 +379,9 @@ type Manager struct {
 	aggSpans    map[string]obs.SpanStat
 
 	// reg is the process-wide Prometheus-style registry: job latency
-	// histograms, rejection counters, kernel-pool timings, and (set at
-	// scrape time) queue and worker gauges. Jobs feed it their stage spans
-	// and kernel timings through a SpanSink on their tracer.
+	// histograms, rejection counters, and (set at scrape time) queue and
+	// worker gauges. Jobs feed it their stage spans and kernel timings
+	// through a SpanSink on their tracer.
 	reg *metrics.Registry
 }
 
@@ -419,18 +419,15 @@ func NewManager(cfg Config) *Manager {
 		aggSpans:    map[string]obs.SpanStat{},
 		reg:         metrics.New(),
 	}
-	// One machine-sized kernel pool shared by every worker: par.Pool
-	// supports concurrent Run calls, and deterministic sharding keys off
-	// the problem size, so sharing changes scheduling but never bits.
-	// NewPool returns nil for sizes <= 1 (kernels then run inline).
+	// One machine-sized SA chain pool shared by every worker: par.Pool
+	// supports concurrent Run calls, and the chains' results do not depend
+	// on which worker runs them, so sharing changes scheduling but never
+	// bits. NewPool returns nil for sizes <= 1 (chains then run in turn).
 	poolSize := cfg.Threads
 	if poolSize == 0 {
 		poolSize = runtime.NumCPU()
 	}
 	m.pool = par.NewPool(poolSize)
-	// The timing observer must be installed before the pool's first Run;
-	// a pool serving every method and size reports the aggregate view.
-	m.meterPool(m.pool, "all", "all")
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
@@ -460,7 +457,7 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 	if req.Threads < 0 {
 		return nil, fmt.Errorf("service: negative threads %d", req.Threads)
 	}
-	// No kernel splits into more than par.MaxShards shards; more workers only cost memory.
+	// Bound the chain pool one request can make core build.
 	if req.Threads > par.MaxShards {
 		return nil, fmt.Errorf("service: threads %d exceeds the maximum %d", req.Threads, par.MaxShards)
 	}
@@ -471,8 +468,7 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 		return nil, fmt.Errorf("service: negative refine_windows %d", req.RefineWindows)
 	}
 	// A zero thread count rides the manager's shared pool; an explicit
-	// count gets a private per-job pool of that size (the pre-shared-pool
-	// behavior, kept for requests that want to bound their own footprint).
+	// count reaches core, which builds a chain pool of that size for SA.
 	sharedPool := req.Threads == 0
 	if req.Threads == 0 {
 		req.Threads = m.cfg.Threads
@@ -855,7 +851,7 @@ func (m *Manager) runJob(job *Job) {
 			m.cacheMisses++
 		}
 		m.mu.Unlock()
-		res, err = m.solve(ctx, job)
+		res, err = m.cfg.Runner(ctx, &job.spec, job.trc)
 	} else {
 		m.mu.Lock()
 		m.cacheHits++
@@ -899,48 +895,6 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 	m.finalize(job, final)
 	close(job.done)
-}
-
-// solve runs the job's Runner. A request that pinned its thread count
-// gets a private kernel pool of that size for the solve, metered like the
-// shared pool but under the job's own method and size labels.
-func (m *Manager) solve(ctx context.Context, job *Job) (*JobResult, error) {
-	spec := job.spec
-	if spec.Pool == nil {
-		// NewPool returns nil for sizes <= 1: the kernels then run inline.
-		spec.Pool = par.NewPool(spec.Req.Threads)
-		defer spec.Pool.Close()
-		m.meterPool(spec.Pool, spec.Req.Method, metrics.SizeClass(len(spec.Netlist.Devices)))
-	}
-	return m.cfg.Runner(ctx, &spec, job.trc)
-}
-
-// skewBuckets spans the shard-skew ratio (max-min)/max in [0, 1): healthy
-// kernels sit in the first few buckets, a shard starving its siblings lands
-// near 1.
-var skewBuckets = []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
-
-// meterPool installs the par timing observer on a kernel pool, feeding
-// par_run_seconds and par_shard_skew_ratio under the given labels. It must
-// run before the pool's first Run (par.SetTimingFunc's contract); a nil
-// pool is a no-op.
-func (m *Manager) meterPool(pool *par.Pool, method, size string) {
-	if pool == nil {
-		return
-	}
-	labels := []string{"method", method, "size", size}
-	wallH := m.reg.Histogram("par_run_seconds",
-		"Wall time of one parallel kernel dispatch (internal/par Run).",
-		metrics.KernelBuckets, labels...)
-	skewH := m.reg.Histogram("par_shard_skew_ratio",
-		"Per-Run shard timing skew, (max-min)/max shard duration; persistent skew means a kernel's grain is mis-sized.",
-		skewBuckets, labels...)
-	pool.SetTimingFunc(func(rt par.RunTiming) {
-		wallH.Observe(rt.Wall.Seconds())
-		if rt.MaxShard > 0 {
-			skewH.Observe(float64(rt.MaxShard-rt.MinShard) / float64(rt.MaxShard))
-		}
-	})
 }
 
 // finalize updates service counters and rolls the job's solver telemetry
@@ -1007,7 +961,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
-		// The shared kernel pool outlives every worker; close it only after
+		// The shared pool outlives every worker; close it only after
 		// the last one exits (even if an earlier Drain call timed out).
 		m.poolEnd.Do(func() { m.pool.Close() })
 		close(done)

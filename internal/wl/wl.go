@@ -32,16 +32,13 @@ func (s Smoother) String() string {
 	return "LSE"
 }
 
-// netGrain is the minimum number of nets per shard when Eval splits the
-// net loop. It is a fixed constant — shard geometry must depend only on
-// the netlist, never on thread count, so that gradient summation order
-// (and therefore every bit of the result) is identical at any -threads.
+// netGrain is the minimum number of nets per shard of Eval's net loop.
+// It is a fixed constant, so the shard geometry, and with it the gradient
+// summation order, depends only on the netlist.
 const netGrain = 32
 
-// netScratch holds the per-net working buffers one worker slot uses while
-// walking its shard of nets. Each slot of a RunIndexed call owns exactly
-// one netScratch, so shards can share a slot's buffers sequentially but
-// never concurrently.
+// netScratch holds the per-net working buffers Eval uses while walking
+// the nets.
 type netScratch struct {
 	xs, ys []float64 // pin coordinates
 	gx, gy []float64 // per-pin gradients
@@ -64,33 +61,25 @@ func newNetScratch(maxPins int) netScratch {
 // Evaluator computes a smoothed total wirelength and its gradient. It is
 // bound to one netlist and reusable across iterations.
 //
-// Concurrency model: the net loop is split into shards whose geometry
-// depends only on the netlist size (par.ShardCount with a fixed grain).
-// Each shard accumulates gradients into a shard-local partial buffer and
-// a shard-local wirelength total; partials are then merged into the
-// caller's gradX/gradY in shard-index order. Because both the shard
-// boundaries and the merge order are fixed, an Evaluator built over a
-// par.Pool produces bit-identical results to one running inline — the
-// thread count changes wall-clock time, never a single ULP.
+// The net loop is split into shards whose geometry depends only on the
+// netlist size (par.ShardCount with a fixed grain). Each shard accumulates
+// gradients into a partial buffer that is merged into the caller's
+// gradX/gradY in shard order, so the summation order is fixed by the
+// netlist alone.
 //
-// An Evaluator is still not safe for concurrent use by multiple
-// goroutines: it owns its scratch. Concurrency happens inside Eval, on
-// the pool it was constructed with.
+// An Evaluator is not safe for concurrent use by multiple goroutines: it
+// owns its scratch.
 type Evaluator struct {
 	n     *circuit.Netlist
 	kind  Smoother
 	gamma float64
-	pool  *par.Pool
 
-	shards  int          // fixed shard count for this netlist
-	scratch []netScratch // one per worker slot (exactly one when pool is nil)
+	shards int        // fixed shard count for this netlist
+	sc     netScratch // per-net buffers
 
-	// Per-shard gradient partials, merged in shard order. With a nil
-	// pool the shards run sequentially, so a single pair of buffers is
-	// reused for every shard and merged as each shard finishes — the
-	// same additions in the same order, without shards× memory.
-	partX, partY []float64 // flat [activeShards × nDevices]
-	totals       []float64 // per-shard wirelength partials
+	// One shard's gradient partials, merged into the caller's gradient
+	// as each shard finishes.
+	partX, partY []float64
 
 	// Tracer, when non-nil, times every Eval call as the wl_grad kernel.
 	Tracer *obs.Tracer
@@ -98,50 +87,25 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator for netlist n using the given smoother
 // and smoothing parameter gamma (> 0). Smaller gamma tracks exact HPWL more
-// tightly but yields stiffer gradients. The evaluator runs inline on the
-// calling goroutine; this constructor path allocates only the fixed
-// scratch it always has (per-pin buffers plus one partial-gradient pair),
-// and Eval itself stays allocation-free.
+// tightly but yields stiffer gradients. The constructor allocates all the
+// scratch Eval needs, so Eval itself stays allocation-free.
 func NewEvaluator(n *circuit.Netlist, kind Smoother, gamma float64) *Evaluator {
-	return NewEvaluatorPool(n, kind, gamma, nil)
-}
-
-// NewEvaluatorPool is NewEvaluator with a worker pool for the net loop. A
-// nil pool is valid and means inline execution; the result bits are
-// identical either way (see the Evaluator doc comment).
-func NewEvaluatorPool(n *circuit.Netlist, kind Smoother, gamma float64, pool *par.Pool) *Evaluator {
 	maxPins := 0
 	for e := range n.Nets {
 		if len(n.Nets[e].Pins) > maxPins {
 			maxPins = len(n.Nets[e].Pins)
 		}
 	}
-	shards := par.ShardCount(len(n.Nets), netGrain)
-	slots := pool.Workers()
-	if slots > shards {
-		slots = shards
-	}
-	ev := &Evaluator{
-		n:       n,
-		kind:    kind,
-		gamma:   gamma,
-		pool:    pool,
-		shards:  shards,
-		scratch: make([]netScratch, slots),
-		totals:  make([]float64, shards),
-	}
-	for i := range ev.scratch {
-		ev.scratch[i] = newNetScratch(maxPins)
-	}
 	nd := len(n.Devices)
-	if pool == nil {
-		ev.partX = make([]float64, nd)
-		ev.partY = make([]float64, nd)
-	} else {
-		ev.partX = make([]float64, shards*nd)
-		ev.partY = make([]float64, shards*nd)
+	return &Evaluator{
+		n:      n,
+		kind:   kind,
+		gamma:  gamma,
+		shards: par.ShardCount(len(n.Nets), netGrain),
+		sc:     newNetScratch(maxPins),
+		partX:  make([]float64, nd),
+		partY:  make([]float64, nd),
 	}
-	return ev
 }
 
 // Gamma returns the current smoothing parameter.
@@ -157,8 +121,7 @@ func (ev *Evaluator) SetGamma(g float64) { ev.gamma = g }
 // Device flips are honored for pin positions but treated as constants.
 //
 // When the evaluator has more than one shard, each shard's contributions
-// are summed shard-locally and merged in shard order — the same additions
-// in the same order whether shards run inline or on the pool.
+// are summed shard-locally and merged in shard order.
 func (ev *Evaluator) Eval(p *circuit.Placement, gradX, gradY []float64) float64 {
 	t0 := ev.Tracer.Now()
 	v := ev.eval(p, gradX, gradY)
@@ -168,63 +131,33 @@ func (ev *Evaluator) Eval(p *circuit.Placement, gradX, gradY []float64) float64 
 
 func (ev *Evaluator) eval(p *circuit.Placement, gradX, gradY []float64) float64 {
 	nNets := len(ev.n.Nets)
-	nd := len(ev.n.Devices)
 	shards := ev.shards
 	if shards == 1 {
-		return ev.evalShard(p, 0, nNets, &ev.scratch[0], gradX, gradY)
+		return ev.evalShard(p, 0, nNets, gradX, gradY)
 	}
-	wantX, wantY := gradX != nil, gradY != nil
-	if ev.pool == nil {
-		// Shards run sequentially, so one partial pair is reused and
-		// merged as each shard finishes: the identical addition
-		// sequence as the pooled branch below, without shards× memory.
-		var total float64
-		for s := 0; s < shards; s++ {
-			lo, hi := par.ShardRange(nNets, shards, s)
-			var px, py []float64
-			if wantX {
-				px = ev.partX[:nd]
-				zero(px)
-			}
-			if wantY {
-				py = ev.partY[:nd]
-				zero(py)
-			}
-			total += ev.evalShard(p, lo, hi, &ev.scratch[0], px, py)
-			merge(gradX, px)
-			merge(gradY, py)
-		}
-		return total
-	}
-	ev.pool.RunIndexed(shards, func(slot, s int) {
-		lo, hi := par.ShardRange(nNets, shards, s)
-		var px, py []float64
-		if wantX {
-			px = ev.partX[s*nd : (s+1)*nd]
-			zero(px)
-		}
-		if wantY {
-			py = ev.partY[s*nd : (s+1)*nd]
-			zero(py)
-		}
-		ev.totals[s] = ev.evalShard(p, lo, hi, &ev.scratch[slot], px, py)
-	})
 	var total float64
 	for s := 0; s < shards; s++ {
-		total += ev.totals[s]
-		if wantX {
-			merge(gradX, ev.partX[s*nd:(s+1)*nd])
+		lo, hi := par.ShardRange(nNets, shards, s)
+		var px, py []float64
+		if gradX != nil {
+			px = ev.partX
+			zero(px)
 		}
-		if wantY {
-			merge(gradY, ev.partY[s*nd:(s+1)*nd])
+		if gradY != nil {
+			py = ev.partY
+			zero(py)
 		}
+		total += ev.evalShard(p, lo, hi, px, py)
+		merge(gradX, px)
+		merge(gradY, py)
 	}
 	return total
 }
 
-// evalShard walks nets [lo, hi) using scratch sc, accumulating gradients
-// into gradX/gradY (nil to skip) and returning the shard's wirelength sum.
-func (ev *Evaluator) evalShard(p *circuit.Placement, lo, hi int, sc *netScratch, gradX, gradY []float64) float64 {
+// evalShard walks nets [lo, hi), accumulating gradients into gradX/gradY
+// (nil to skip) and returning the shard's wirelength sum.
+func (ev *Evaluator) evalShard(p *circuit.Placement, lo, hi int, gradX, gradY []float64) float64 {
+	sc := &ev.sc
 	var total float64
 	for e := lo; e < hi; e++ {
 		net := &ev.n.Nets[e]

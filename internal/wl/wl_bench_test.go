@@ -2,12 +2,10 @@ package wl
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
-	"repro/internal/par"
 )
 
 // benchCircuit generates a synthetic netlist and a deterministic spread
@@ -47,27 +45,20 @@ func BenchmarkHPWL(b *testing.B) {
 }
 
 // BenchmarkSmoothGrad measures one smoothed-wirelength evaluation with
-// gradients — the inner-loop cost of every analytical GP iteration — both
-// inline (threads1) and on a worker pool (threadsN). The two variants
-// produce bit-identical gradients; the ns/op gap is the kernel speedup.
+// gradients — the inner-loop cost of every analytical GP iteration.
 func BenchmarkSmoothGrad(b *testing.B) {
-	threadVariants := []int{1, runtime.NumCPU()}
 	for _, kind := range []Smoother{WA, LSE} {
 		for _, size := range benchSizes {
-			for _, threads := range threadVariants {
-				b.Run(fmt.Sprintf("%s/n%d/threads%d", kind, size, threads), func(b *testing.B) {
-					n, p := benchCircuit(b, size)
-					pool := par.NewPool(threads)
-					defer pool.Close()
-					ev := NewEvaluatorPool(n, kind, 1.0, pool)
-					gx := make([]float64, n.NumDevices())
-					gy := make([]float64, n.NumDevices())
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						sinkF = ev.Eval(p, gx, gy)
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%s/n%d", kind, size), func(b *testing.B) {
+				n, p := benchCircuit(b, size)
+				ev := NewEvaluator(n, kind, 1.0)
+				gx := make([]float64, n.NumDevices())
+				gy := make([]float64, n.NumDevices())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkF = ev.Eval(p, gx, gy)
+				}
+			})
 		}
 	}
 }

@@ -237,9 +237,9 @@ func TestDegenerateSinglePointNet(t *testing.T) {
 	}
 }
 
-// TestEvalAllocationFree pins the documented contract: an Evaluator from
-// the pool-less constructor does all its work in construction-time scratch,
-// so the per-iteration Eval allocates nothing.
+// TestEvalAllocationFree pins the documented contract: an Evaluator does
+// all its work in construction-time scratch, so the per-iteration Eval
+// allocates nothing.
 func TestEvalAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n, p := randomNetlist(rng, 80, 120)
