@@ -107,6 +107,10 @@ func printReport(w io.Writer, rep *analyze.Report) {
 		}
 		fmt.Fprintln(w)
 	}
+	if c := rep.Counters; c["gp.converged"]+c["gp.stalled"]+c["gp.capped"]+c["gp.diverged"] > 0 {
+		fmt.Fprintf(w, "  gp stops: %.0f converged, %.0f stalled, %.0f capped, %.0f diverged\n",
+			c["gp.converged"], c["gp.stalled"], c["gp.capped"], c["gp.diverged"])
+	}
 	if rep.SA != nil {
 		fmt.Fprintf(w, "  sa: %d samples over %d chain(s), accept %.2f -> %.2f, best cost %.6g\n",
 			rep.SA.Samples, rep.SA.Chains, rep.SA.FirstAccept, rep.SA.LastAccept, rep.SA.BestCost)

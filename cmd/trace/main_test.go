@@ -20,12 +20,15 @@ func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // TestSummaryGolden pins the human-readable summaries of committed real
 // placer traces: prev_adder (cmd/placer -circuit Adder -method prev -seed 1
-// -trace ...), which predates kernel timing, and eplace_adder (the same
-// with -method eplace-a, trimmed to its spans, gauges, first and last
-// eplace-gp iterations and summary), whose summary carries kernel totals.
-// The output is a pure function of the trace file, so it is byte-stable.
+// -trace ...), which predates kernel timing; eplace_adder (the same with
+// -method eplace-a, trimmed to its spans, gauges, first and last eplace-gp
+// iterations and summary), whose summary carries kernel totals but
+// predates GP stop counters; and eplace_adder_seed7 (-seed 7 -threads 1,
+// trimmed the same way), whose summary counts one converged and two
+// stalled GP candidates. The output is a pure function of the trace file,
+// so it is byte-stable.
 func TestSummaryGolden(t *testing.T) {
-	for _, name := range []string{"prev_adder", "eplace_adder"} {
+	for _, name := range []string{"prev_adder", "eplace_adder", "eplace_adder_seed7"} {
 		t.Run(name, func(t *testing.T) {
 			fixture := filepath.Join("testdata", name+".jsonl")
 			golden := filepath.Join("testdata", name+".golden")

@@ -139,10 +139,11 @@ func TestTracingIsObservationOnly(t *testing.T) {
 }
 
 // TestTracingNonFiniteIsObservationOnly pins the run whose diverging
-// portfolio candidate reports HPWL +Inf and then NaN to the trace: VCO1
-// by ePlace-A at seed 7. Traced into a JSONL sink, it must close without
-// error, leave a trace the structural checker accepts, and place exactly
-// as the untraced run does.
+// portfolio candidate reports a non-finite objective to the trace: VCO1
+// by ePlace-A at seed 7, whose third candidate stops at its first
+// non-finite objective and counts as gp.diverged. Traced into a JSONL
+// sink, it must close without error, leave a trace the structural checker
+// accepts, and place exactly as the untraced run does.
 func TestTracingNonFiniteIsObservationOnly(t *testing.T) {
 	c, err := testcircuits.ByName("VCO1")
 	if err != nil {
@@ -167,6 +168,9 @@ func TestTracingNonFiniteIsObservationOnly(t *testing.T) {
 	}
 	if err := trace.Check(); err != nil {
 		t.Fatalf("trace check: %v", err)
+	}
+	if got := trace.Summary.Counters["gp.diverged"]; got != 1 {
+		t.Errorf("gp.diverged = %g, want 1", got)
 	}
 	if !reflect.DeepEqual(plain.Placement, traced.Placement) {
 		t.Error("placement changed under tracing")

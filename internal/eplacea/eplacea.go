@@ -186,7 +186,39 @@ type Result struct {
 	Overflow   float64 // final density overflow
 	HPWL       float64 // exact HPWL of the GP solution
 	Region     geom.Rect
+	Stop       Stop // the exit that ended the run
 }
+
+// Stop names the exit that ended a global-placement run. Its value is
+// also the suffix of the run's "gp.<stop>" trace counter.
+type Stop string
+
+const (
+	// Converged: density overflow fell below StopOverflow.
+	Converged Stop = "converged"
+	// Stalled: overflow fell to stallArm of its starting value, then
+	// made no new low for stallWindow iterations.
+	Stalled Stop = "stalled"
+	// Capped: no other exit fired before MaxIter ran out.
+	Capped Stop = "capped"
+	// Diverged: the objective became non-finite. The result is the last
+	// iterate whose objective was finite.
+	Diverged Stop = "diverged"
+)
+
+// The stall exit. A run whose overflow has stopped falling only trades
+// wirelength for nothing: λ keeps growing, the density force pins the
+// devices in place and the WA force stretches the nets. Overflow counts as
+// falling while each stallWindow iterations bring a new low at least a
+// fraction stallGain below the last one. The exit arms only once overflow has
+// reached stallArm of its first value, so a slow λ ramp's opening phase,
+// where the density force is still too weak to spread anything, does not
+// read as a stall.
+const (
+	stallWindow = 100
+	stallGain   = 0.01
+	stallArm    = 0.8
+)
 
 // ExtraGrad lets callers add terms to the GP objective; used by ePlace-AP
 // to inject the GNN performance gradient α·∂Φ/∂v. It returns the term's
@@ -274,8 +306,14 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra E
 	copy(x[nd:], p.Y)
 
 	iterRun := 0
+	stop := Capped
+	// The stall exit's state: the overflow at iteration 0, its running
+	// low and the iteration that set it.
+	first, low, lowIter := 0.0, math.Inf(1), 0
+	// The last iterate whose objective was finite, returned on divergence.
+	last := append([]float64(nil), x...)
 	done := ctx.Done()
-	_, iters := nlopt.Nesterov(st.objective, x, nlopt.NesterovOptions{
+	nlopt.Nesterov(st.objective, x, nlopt.NesterovOptions{
 		MaxIter:  opt.MaxIter,
 		InitStep: binW, // about one bin per step to start
 		Tracer:   opt.Tracer,
@@ -297,16 +335,38 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra E
 					GradSym: st.gSym, GradArea: st.gArea, GradExtra: st.gExtra,
 				})
 			}
+			// Stop at the first non-finite objective. The iterates only
+			// run further off from there, and once they turn NaN the
+			// density grid's overflow reads 0, which the overflow exit
+			// below would take for convergence.
+			if math.IsInf(f, 0) || math.IsNaN(f) {
+				stop = Diverged
+				return false
+			}
+			copy(last, cur)
 			st.schedule(iter)
 			if iter >= 50 && st.lastOverflow < opt.StopOverflow {
+				stop = Converged
+				return false
+			}
+			if iter == 0 {
+				first = st.lastOverflow
+			}
+			if st.lastOverflow < low*(1-stallGain) {
+				low, lowIter = st.lastOverflow, iter
+			}
+			if low <= stallArm*first && iter-lowIter >= stallWindow {
+				stop = Stalled
 				return false
 			}
 			return true
 		},
 	})
-	_ = iters
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if stop == Diverged {
+		x = last
 	}
 	copy(p.X, x[:nd])
 	copy(p.Y, x[nd:])
@@ -321,9 +381,11 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra E
 		Overflow:   grid.Overflow(n, 1.0),
 		HPWL:       n.HPWL(p),
 		Region:     region,
+		Stop:       stop,
 	}
 	if opt.Tracer.Enabled() {
 		opt.Tracer.Count("gp.runs", 1)
+		opt.Tracer.Count("gp."+string(stop), 1)
 		opt.Tracer.Count("gp.iterations", float64(iterRun))
 		opt.Tracer.Gauge("gp.final_overflow", res.Overflow)
 		opt.Tracer.Gauge("gp.final_hpwl", res.HPWL)
@@ -365,7 +427,6 @@ type solveState struct {
 // term starts at a controlled fraction of the wirelength force, the
 // standard ePlace initialization.
 func (st *solveState) calibrate() {
-	nd := len(st.n.Devices)
 	zero(st.gx)
 	zero(st.gy)
 	st.wlEv.Eval(st.p, st.gx, st.gy)
@@ -419,7 +480,6 @@ func (st *solveState) calibrate() {
 		}
 	}
 	st.lastOverflow = st.grid.Overflow(st.n, 1.0)
-	_ = nd
 }
 
 // schedule advances the multiplier and smoothing schedules once per

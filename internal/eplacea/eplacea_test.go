@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/geom"
+	"repro/internal/testcircuits"
 )
 
 // testNetlist builds an OTA-like netlist with a symmetry group and a
@@ -242,6 +243,98 @@ func TestOptimalAxisWeighting(t *testing.T) {
 	// Pair midpoint 5 (weight 4), self 8 (weight 1): axis = (4·5+8)/5 = 5.6.
 	if ax := OptimalAxis(n, p, 0); math.Abs(ax-5.6) > 1e-12 {
 		t.Errorf("optimalAxis = %g, want 5.6", ax)
+	}
+}
+
+// paperNetlist returns the named paper circuit's netlist.
+func paperNetlist(t *testing.T, name string) *circuit.Netlist {
+	t.Helper()
+	c, err := testcircuits.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Netlist
+}
+
+// TestStallExit pins the stall exit on the ePlace-A portfolio's second
+// candidate for Adder at seed 7 (core seeds variant v with 7 + 101·v). Its
+// overflow sets its last new low, 0.237, at iteration 542 and then hovers
+// near 0.24; the run stops 100 iterations later instead of stretching
+// wirelength to its MaxIter of 1500.
+func TestStallExit(t *testing.T) {
+	n := paperNetlist(t, "Adder")
+	opt := Options{Seed: 108, Util: 0.5, Lambda0: 1e-4, LambdaGrowth: 1.025, MaxIter: 1500}
+	res, err := Place(n, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != Stalled || res.Iterations != 642 {
+		t.Errorf("stop %s after %d iterations, want %s after 642", res.Stop, res.Iterations, Stalled)
+	}
+
+	// With a budget that runs out before the stall, the run is capped.
+	opt.MaxIter = 600
+	if res, err = Place(n, opt); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != Capped || res.Iterations != 600 {
+		t.Errorf("stop %s after %d iterations, want %s after 600", res.Stop, res.Iterations, Capped)
+	}
+}
+
+// TestDefaultRunsConverge pins the default options on the five circuits of
+// the eplace benchmark workload at seed 7: each reaches the overflow target
+// at the iteration it did before the stall exit existed, so the exit never
+// fires on a run that converges.
+func TestDefaultRunsConverge(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		iters int
+	}{{"Adder", 220}, {"CC-OTA", 246}, {"VCO2", 260}, {"Comp1", 293}, {"VGA", 256}} {
+		res, err := Place(paperNetlist(t, tc.name), Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stop != Converged || res.Iterations != tc.iters {
+			t.Errorf("%s: stop %s after %d iterations, want %s after %d",
+				tc.name, res.Stop, res.Iterations, Converged, tc.iters)
+		}
+	}
+}
+
+// TestDivergedStopsAtLastFiniteIterate feeds GP an extra term that turns
+// non-finite from its 60th evaluation: its value is +Inf and its gradient
+// NaN, so the step that evaluates it lands on NaN coordinates. The run
+// must stop there as diverged and return the last iterate whose objective
+// was finite.
+func TestDivergedStopsAtLastFiniteIterate(t *testing.T) {
+	n := testNetlist()
+	calls := 0
+	extra := func(p *circuit.Placement, gx, gy []float64) float64 {
+		calls++
+		if calls < 60 {
+			return 0
+		}
+		gx[0] += math.NaN()
+		return math.Inf(1)
+	}
+	res, err := PlaceExtra(n, Options{Seed: 1}, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != Diverged {
+		t.Errorf("stop %s, want %s", res.Stop, Diverged)
+	}
+	if res.Iterations >= 900 {
+		t.Errorf("ran %d iterations, want fewer than MaxIter", res.Iterations)
+	}
+	for i := range res.Placement.X {
+		if x, y := res.Placement.X[i], res.Placement.Y[i]; math.IsNaN(x+y) || math.IsInf(x+y, 0) {
+			t.Fatalf("device %d at non-finite (%g, %g)", i, x, y)
+		}
+	}
+	if math.IsNaN(res.HPWL) || math.IsInf(res.HPWL, 0) {
+		t.Errorf("HPWL %g", res.HPWL)
 	}
 }
 
