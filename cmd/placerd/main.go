@@ -104,7 +104,7 @@ func main() {
 		cacheDesc = fmt.Sprintf("%d MiB", *cacheBytes>>20)
 	}
 	log.Printf("serving on %s (%d workers, queue capacity %d, tenant quota %s, result cache %s)",
-		ln.Addr(), mgr.Metrics().Workers, *queueCap, quotaDesc, cacheDesc)
+		ln.Addr(), mgr.Health().Workers, *queueCap, quotaDesc, cacheDesc)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -144,9 +144,9 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("http shutdown: %v", err)
 	}
-	met := mgr.Metrics()
+	done, failed, canceled, rejected := mgr.Totals()
 	log.Printf("shut down: %d jobs completed, %d failed, %d canceled, %d rejected",
-		met.JobsCompleted, met.JobsFailed, met.JobsCanceled, met.JobsRejected)
+		done, failed, canceled, rejected)
 }
 
 // logMiddleware optionally logs each request line after it is served.

@@ -30,7 +30,9 @@ func TestShortNameRoundTrips(t *testing.T) {
 // methods actually feed the kernel histograms. The registry is attached the
 // way placerd attaches it: as a metrics.SpanSink on the run's tracer. Each
 // method times exactly its own kernels, and every kernel call the tracer
-// summarizes is one placer_kernel_seconds observation.
+// summarizes is one placer_kernel_seconds observation. Closing the tracer
+// fires the summary, whose every counter becomes exactly one
+// placer_solver_counter_total series holding the summary's value.
 func TestMeteringIsObservationOnly(t *testing.T) {
 	c, err := testcircuits.ByName("Adder")
 	if err != nil {
@@ -74,12 +76,25 @@ func TestMeteringIsObservationOnly(t *testing.T) {
 			}
 		}
 
+		if err := opt.Tracer.Close(); err != nil {
+			t.Fatalf("%s: closing tracer: %v", tc.name, err)
+		}
 		var out strings.Builder
 		if err := reg.WritePrometheus(&out); err != nil {
 			t.Fatalf("%s: WritePrometheus: %v", tc.name, err)
 		}
 		text := out.String()
-		kernels := opt.Tracer.Summary().Kernels
+		sum := opt.Tracer.Summary()
+		solver := solverCounters(t, text)
+		if len(solver) != len(sum.Counters) || len(solver) == 0 {
+			t.Errorf("%s: %d solver counter series, %d summary counters", tc.name, len(solver), len(sum.Counters))
+		}
+		for k, v := range sum.Counters {
+			if got, ok := solver[k]; !ok || got != v {
+				t.Errorf("%s: counter %s: summary %g, placer_solver_counter_total %g (present %v)", tc.name, k, v, got, ok)
+			}
+		}
+		kernels := sum.Kernels
 		if m == MethodSA {
 			// SA has no GP kernels; nothing must have been registered.
 			if strings.Contains(text, "placer_kernel_seconds") || len(kernels) != 0 {
@@ -112,6 +127,29 @@ func TestMeteringIsObservationOnly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solverCounters reads each counter's placer_solver_counter_total sample
+// from a Prometheus exposition.
+func solverCounters(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "placer_solver_counter_total{") {
+			continue
+		}
+		_, rest, _ := strings.Cut(line, `counter="`)
+		name, _, _ := strings.Cut(rest, `"`)
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("bad counter line %q: %v", line, err)
+		}
+		if _, dup := out[name]; dup {
+			t.Errorf("counter %s has two series", name)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 // kernelCounts reads each kernel's placer_kernel_seconds_count from a

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +227,42 @@ func TestSpanSinkBridgesSpanEnds(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSpanSinkBridgesSummaryCounters checks each run's summary counters
+// are added to placer_solver_counter_total under the sink's labels plus
+// "counter": two runs sum, a zero counter still gets its series, and a
+// +Inf count arrives as the summary's clamped value.
+func TestSpanSinkBridgesSummaryCounters(t *testing.T) {
+	r := New()
+	for run := 0; run < 2; run++ {
+		trc := obs.New(NewSpanSink(r, "stage_seconds", "method", "eplace-a"))
+		trc.Count("gp.runs", 3)
+		trc.Count("gp.stalled", 1)
+		trc.Count("dp.ilp_node_cap", 0)
+		if run == 1 {
+			trc.Count("lp.pivots", math.Inf(1))
+		}
+		trc.Close()
+	}
+
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"# TYPE placer_solver_counter_total counter\n",
+		`placer_solver_counter_total{method="eplace-a",counter="dp.ilp_node_cap"} 0` + "\n",
+		`placer_solver_counter_total{method="eplace-a",counter="gp.runs"} 6` + "\n",
+		`placer_solver_counter_total{method="eplace-a",counter="gp.stalled"} 2` + "\n",
+		`placer_solver_counter_total{method="eplace-a",counter="lp.pivots"} 1.7976931348623157e+308` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "\nplacer_solver_counter_total{"); n != 4 {
+		t.Errorf("%d solver counter series, want 4:\n%s", n, out)
 	}
 }
 

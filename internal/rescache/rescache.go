@@ -56,8 +56,6 @@ type Cache struct {
 	bytes    int64
 	ll       *list.List // front = most recently used
 	items    map[Key]*list.Element
-
-	hits, misses, puts, evictions int64
 }
 
 // entry is one cached value; Element.Value holds *entry.
@@ -91,10 +89,8 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*entry).val, true
 }
@@ -110,7 +106,6 @@ func (c *Cache) Put(k Key, v []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.puts++
 	if el, ok := c.items[k]; ok {
 		e := el.Value.(*entry)
 		c.bytes += int64(len(v)) - int64(len(e.val))
@@ -129,19 +124,13 @@ func (c *Cache) Put(k Key, v []byte) {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.bytes -= int64(len(e.val))
-		c.evictions++
 	}
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness and occupancy.
+// Stats is a point-in-time snapshot of cache occupancy.
 type Stats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions"`
+	Entries int
+	Bytes   int64
 }
 
 // Stats snapshots the cache. A nil cache reports all zeros.
@@ -151,13 +140,5 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Entries:   len(c.items),
-		Bytes:     c.bytes,
-		MaxBytes:  c.maxBytes,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Puts:      c.puts,
-		Evictions: c.evictions,
-	}
+	return Stats{Entries: len(c.items), Bytes: c.bytes}
 }

@@ -47,7 +47,7 @@ func TestGetPutRoundtrip(t *testing.T) {
 		t.Errorf("refresh kept old value %q", v)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Hits != 2 || st.Misses != 1 || st.Puts != 2 {
+	if st.Entries != 1 {
 		t.Errorf("stats %+v", st)
 	}
 	if st.Bytes != int64(len("payload-2")) {
@@ -76,7 +76,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions != 1 || st.Bytes != 30 || st.Entries != 3 {
+	if st.Bytes != 30 || st.Entries != 3 {
 		t.Errorf("stats %+v", st)
 	}
 }
@@ -125,7 +125,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if st.Bytes > 1<<10 {
 		t.Errorf("byte bound violated: %d", st.Bytes)
 	}
-	if st.Puts != 1600 {
-		t.Errorf("puts %d, want 1600", st.Puts)
+	if st.Entries > 16 {
+		t.Errorf("%d entries from 16 distinct keys", st.Entries)
 	}
 }

@@ -144,7 +144,6 @@ type Queue struct {
 	seq     int64
 	vtime   [numPriorities]float64 // per-class virtual clock, advanced on dequeue
 	tenants map[string]*tenantState
-	dropped int64 // items removed while still queued (cancelations)
 }
 
 // New returns a queue with the given bounds.
@@ -282,7 +281,6 @@ func (q *Queue) Remove(it *Item) bool {
 			it.queued = false
 			ts.inflight--
 			q.queued--
-			q.dropped++
 			return true
 		}
 	}
@@ -312,17 +310,15 @@ func (q *Queue) Close() {
 
 // TenantStat is one tenant's scheduling snapshot.
 type TenantStat struct {
-	Queued   int `json:"queued"`
-	InFlight int `json:"in_flight"`
+	Queued   int
+	InFlight int
 }
 
 // Stats is a point-in-time snapshot of the queue.
 type Stats struct {
-	Queued     int                   `json:"queued"`
-	ByPriority map[string]int        `json:"by_priority"`
-	Tenants    map[string]TenantStat `json:"tenants,omitempty"`
-	Dropped    int64                 `json:"dropped"`
-	Closed     bool                  `json:"closed"`
+	Queued     int
+	ByPriority map[string]int
+	Tenants    map[string]TenantStat
 }
 
 // Stats snapshots the queue, including every tenant ever seen (so gauges
@@ -333,8 +329,6 @@ func (q *Queue) Stats() Stats {
 	st := Stats{
 		Queued:     q.queued,
 		ByPriority: map[string]int{},
-		Dropped:    q.dropped,
-		Closed:     q.closed,
 	}
 	for p := Priority(0); p < numPriorities; p++ {
 		n := 0
@@ -354,11 +348,4 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued
 }

@@ -3,11 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +39,7 @@ func outcomeRunner() Runner {
 // plus a rejected submission, then scrapes /metrics?format=prometheus and
 // checks the exposition carries the latency histograms split into
 // queue-wait and solve-time, outcome and rejection counters, and the live
-// queue gauges — while the JSON /metrics keeps its existing shape.
+// queue gauges — and that plain /metrics serves the same text.
 func TestPrometheusScrapeMixedWorkload(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, Runner: outcomeRunner()})
 
@@ -57,19 +57,7 @@ func TestPrometheusScrapeMixedWorkload(t *testing.T) {
 		t.Fatal("invalid method accepted")
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	text := string(body)
+	text := getMetrics(t, ts.URL+"/metrics?format=prometheus")
 	for _, want := range []string{
 		`# TYPE placerd_job_queue_wait_seconds histogram`,
 		`placerd_job_queue_wait_seconds_bucket{method="sa",priority="interactive",le="+Inf"} 3`,
@@ -91,21 +79,75 @@ func TestPrometheusScrapeMixedWorkload(t *testing.T) {
 		}
 	}
 
-	// The JSON view must keep working unchanged next to the new format.
-	jresp, err := http.Get(ts.URL + "/metrics")
+	// The query selects nothing: plain /metrics is the same view. Only the
+	// uptime gauge moves between the two scrapes.
+	if plain := getMetrics(t, ts.URL+"/metrics"); withoutUptime(plain) != withoutUptime(text) {
+		t.Errorf("plain /metrics differs from ?format=prometheus:\n%s\nvs\n%s", plain, text)
+	}
+}
+
+// getMetrics fetches a /metrics URL and checks it is the Prometheus text
+// exposition.
+func getMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jbody, _ := io.ReadAll(jresp.Body)
-	jresp.Body.Close()
-	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("JSON /metrics Content-Type = %q", ct)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{`"jobs_completed": 1`, `"jobs_failed": 1`, `"jobs_canceled": 1`} {
-		if !strings.Contains(string(jbody), want) {
-			t.Errorf("JSON metrics missing %q:\n%s", want, jbody)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("%s: Content-Type = %q", url, ct)
+	}
+	return string(body)
+}
+
+// withoutUptime drops the uptime sample from an exposition.
+func withoutUptime(text string) string {
+	var kept []string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "placerd_uptime_seconds ") {
+			kept = append(kept, line)
 		}
 	}
+	return strings.Join(kept, "\n")
+}
+
+// scrape renders m's Prometheus exposition.
+func scrape(t *testing.T, m *Manager) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// sample sums the exposition's samples of series: a full series such as
+// placerd_jobs_total{state="done"} reads one line, a bare name sums the
+// family's series. An absent series reads 0, because a series appears
+// only on its first observation.
+func sample(t *testing.T, text, series string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name := line[:i]; name != series && !strings.HasPrefix(name, series+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestQueueWaitInStatus checks the acceptance-to-start latency is exposed
@@ -135,46 +177,29 @@ func TestQueueWaitInStatus(t *testing.T) {
 	}
 }
 
-// TestGaugeRollupEnvelope checks the finalize rollup keeps every job's
-// gauge contribution (min/max/count), not just the last writer's value.
-func TestGaugeRollupEnvelope(t *testing.T) {
-	gaugeRunner := func(ctx context.Context, spec *JobSpec, trc *obs.Tracer) (*JobResult, error) {
-		trc.Gauge("place.final_hpwl", float64(10*spec.Req.Seed))
-		return &JobResult{Legal: true, Placement: []byte("{}")}, nil
-	}
-	m := NewManager(Config{Workers: 1, QueueCap: 8, Runner: gaugeRunner})
-	defer drain(t, m)
-	for _, seed := range []int64{3, 1, 2} {
-		waitState(t, submitAdder(t, m, seed), StateDone)
-	}
-	met := m.Metrics()
-	st, ok := met.SolverGaugeStats["place.final_hpwl"]
-	if !ok {
-		t.Fatalf("no gauge stats; metrics %+v", met)
-	}
-	want := GaugeAgg{Last: 20, Min: 10, Max: 30, Count: 3}
-	if st != want {
-		t.Errorf("gauge envelope = %+v, want %+v", st, want)
-	}
-	if got := met.SolverGauges["place.final_hpwl"]; got != 20 {
-		t.Errorf("legacy last-value gauge = %g, want 20", got)
-	}
-}
-
 // TestNonFiniteGaugeKeepsMetricsEncodable checks a job whose solver
-// reports +Inf and NaN gauges leaves the JSON /metrics view encodable:
-// the rollup reads the tracer's summary, which holds finite values only.
+// reports +Inf and NaN gauges and counts still finishes, and that the
+// counts reach the exposition as the finite values the tracer's summary
+// holds: +Inf as the largest float64, NaN as 0.
 func TestNonFiniteGaugeKeepsMetricsEncodable(t *testing.T) {
 	runner := func(ctx context.Context, spec *JobSpec, trc *obs.Tracer) (*JobResult, error) {
 		trc.Gauge("gp.final_hpwl", math.Inf(1))
 		trc.Gauge("gp.final_overflow", math.NaN())
+		trc.Count("gp.iterations", math.Inf(1))
+		trc.Count("lp.pivots", math.NaN())
 		return &JobResult{Legal: true, Placement: []byte("{}")}, nil
 	}
 	m := NewManager(Config{Workers: 1, QueueCap: 2, Runner: runner})
 	defer drain(t, m)
 	waitState(t, submitAdder(t, m, 1), StateDone)
-	if _, err := json.Marshal(m.Metrics()); err != nil {
-		t.Fatalf("JSON /metrics view: %v", err)
+	text := scrape(t, m)
+	for _, want := range []string{
+		`placer_solver_counter_total{method="sa",size="xs",counter="gp.iterations"} 1.7976931348623157e+308` + "\n",
+		`placer_solver_counter_total{method="sa",size="xs",counter="lp.pivots"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
 	}
 }
 
@@ -218,11 +243,7 @@ func TestExplicitThreadsReachCore(t *testing.T) {
 	}
 	waitState(t, ep, StateDone)
 
-	var sb strings.Builder
-	if err := m.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := scrape(t, m)
 	kernel := `placer_kernel_seconds_count{method="eplace-a",size="xs",kernel="poisson_solve"} `
 	if !strings.Contains(text, kernel) || strings.Contains(text, kernel+"0\n") {
 		t.Errorf("exposition lacks a nonzero %q:\n%s", kernel, text)

@@ -88,7 +88,7 @@ func seedRunner(entered chan int64, release chan struct{}) Runner {
 
 // TestCancelQueuedReleasesQuota: canceling a still-queued job frees the
 // tenant's quota immediately, the scheduler drops it without ever handing
-// it to a worker, and the counters reflect the drop.
+// it to a worker, and the counters reflect the cancelation.
 func TestCancelQueuedReleasesQuota(t *testing.T) {
 	entered := make(chan int64, 8)
 	release := make(chan struct{})
@@ -129,18 +129,20 @@ func TestCancelQueuedReleasesQuota(t *testing.T) {
 		t.Errorf("runner saw seeds %v, want exactly {1,3,4}", ran)
 	}
 
-	met := m.Metrics()
-	if met.JobsCanceled != 1 {
-		t.Errorf("canceled counter %d, want 1", met.JobsCanceled)
+	text := scrape(t, m)
+	if got := sample(t, text, `placerd_jobs_total{state="canceled"}`); got != 1 {
+		t.Errorf("canceled counter %g, want 1", got)
 	}
-	if met.SchedDropped != 1 {
-		t.Errorf("sched dropped %d, want 1", met.SchedDropped)
+	if got := sample(t, text, `placerd_jobs_rejected_total{reason="tenant_quota"}`); got != 1 {
+		t.Errorf("quota rejections %g, want 1 (the over-quota submit)", got)
 	}
-	if met.JobsRejected != 1 {
-		t.Errorf("rejected counter %d, want 1 (the over-quota submit)", met.JobsRejected)
-	}
-	if ts := met.Tenants["acme"]; ts.InFlight != 0 || ts.Queued != 0 {
-		t.Errorf("acme stats %+v after completion, want zeros", ts)
+	for _, want := range []string{
+		`placerd_tenant_inflight_jobs{tenant="acme"} 0` + "\n",
+		`placerd_tenant_queue_depth{tenant="acme"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q after completion:\n%s", want, text)
+		}
 	}
 }
 
@@ -191,12 +193,15 @@ func TestCacheSkipsRunner(t *testing.T) {
 		t.Errorf("runner invoked %d times after new seed, want 2", got)
 	}
 
-	met := m.Metrics()
-	if met.CacheHits != 1 || met.CacheMisses != 2 || met.SolverRuns != 2 {
-		t.Errorf("hits=%d misses=%d solver_runs=%d, want 1/2/2", met.CacheHits, met.CacheMisses, met.SolverRuns)
+	text := scrape(t, m)
+	hits := sample(t, text, `placerd_cache_requests_total{result="hit"}`)
+	misses := sample(t, text, `placerd_cache_requests_total{result="miss"}`)
+	solves := sample(t, text, "placerd_job_solve_seconds_count")
+	if hits != 1 || misses != 2 || solves != 2 {
+		t.Errorf("hits=%g misses=%g solves=%g, want 1/2/2", hits, misses, solves)
 	}
-	if met.Cache == nil || met.Cache.Entries != 2 {
-		t.Errorf("cache stats %+v, want 2 entries", met.Cache)
+	if got := sample(t, text, "placerd_cache_entries"); got != 2 {
+		t.Errorf("cache entries %g, want 2", got)
 	}
 }
 
@@ -220,8 +225,9 @@ func TestCacheDisabledNeverMarksCached(t *testing.T) {
 	if got := runs.Load(); got != 2 {
 		t.Errorf("runner invoked %d times, want 2", got)
 	}
-	if met := m.Metrics(); met.Cache != nil || met.CacheHits != 0 || met.SolverRuns != 2 {
-		t.Errorf("metrics %+v with caching disabled", met)
+	text := scrape(t, m)
+	if strings.Contains(text, "placerd_cache_") || sample(t, text, "placerd_job_solve_seconds_count") != 2 {
+		t.Errorf("exposition with caching disabled:\n%s", text)
 	}
 }
 
@@ -267,8 +273,10 @@ func TestCacheRealSolverByteIdentity(t *testing.T) {
 			t.Errorf("%s: cached quality numbers differ: %+v vs %+v", name, r, r0)
 		}
 	}
-	if met := m.Metrics(); met.SolverRuns != 1 || met.CacheHits != 2 {
-		t.Errorf("solver_runs=%d cache_hits=%d, want 1 and 2", met.SolverRuns, met.CacheHits)
+	text := scrape(t, m)
+	solves, hits := sample(t, text, "placerd_job_solve_seconds_count"), sample(t, text, `placerd_cache_requests_total{result="hit"}`)
+	if solves != 1 || hits != 2 {
+		t.Errorf("solves=%g cache hits=%g, want 1 and 2", solves, hits)
 	}
 }
 

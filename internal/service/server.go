@@ -25,8 +25,7 @@ const DefaultMaxBody = 8 << 20
 //	GET    /v1/jobs/{id}/events live NDJSON stream of obs solver events
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /healthz             liveness + queue occupancy
-//	GET    /metrics             service counters + solver telemetry rollup
-//	                            (?format=prometheus for text exposition)
+//	GET    /metrics             Prometheus text exposition of the registry
 type Server struct {
 	m       *Manager
 	maxBody int64
@@ -211,28 +210,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	met := s.m.Metrics()
+	h := s.m.Health()
 	status := "ok"
-	if met.Draining {
+	if h.Draining {
 		status = "draining"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      status,
-		"workers":     met.Workers,
-		"queue_depth": met.QueueDepth,
-		"queue_cap":   met.QueueCap,
-		"running":     met.Running,
+		"workers":     h.Workers,
+		"queue_depth": h.QueueDepth,
+		"queue_cap":   h.QueueCap,
+		"running":     h.Running,
 	})
 }
 
-// handleMetrics serves the JSON rollup by default; ?format=prometheus
-// switches to the Prometheus text exposition (the JSON shape predates it
-// and existing consumers keep working unchanged).
+// handleMetrics serves the registry in the Prometheus text exposition. The
+// query string is ignored, so a scraper still sending ?format=prometheus
+// gets the same text.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.m.WritePrometheus(w) // header already sent; nothing useful to do on error
-		return
-	}
-	writeJSON(w, http.StatusOK, s.m.Metrics())
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.m.WritePrometheus(w) // header already sent; nothing useful to do on error
 }

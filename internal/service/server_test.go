@@ -328,17 +328,11 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz %+v", hz)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var met Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if met.QueueCap != 5 || met.Workers != 3 {
-		t.Errorf("metrics %+v", met)
+	text := getMetrics(t, ts.URL+"/metrics")
+	for _, want := range []string{"placerd_queue_cap 5\n", "placerd_workers 3\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
 	}
 }
 

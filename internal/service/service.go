@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/netio"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -368,32 +369,12 @@ type Manager struct {
 	draining bool
 	running  int
 
-	// Cumulative service counters.
-	submitted, rejected, completed, failed, canceledN int64
-	cacheHits, cacheMisses, solverRuns                int64
-
-	// Solver telemetry rolled up from finished jobs' tracers.
-	aggCounters map[string]float64
-	aggGauges   map[string]float64
-	aggGaugeAgg map[string]GaugeAgg
-	aggSpans    map[string]obs.SpanStat
-
-	// reg is the process-wide Prometheus-style registry: job latency
-	// histograms, rejection counters, and (set at scrape time) queue and
-	// worker gauges. Jobs feed it their stage spans and kernel timings
-	// through a SpanSink on their tracer.
+	// reg is the process-wide Prometheus-style registry and the service's
+	// only count of anything: job latency histograms, outcome, rejection
+	// and cache counters, and (set at scrape time) queue and worker
+	// gauges. Jobs feed it their stage spans, kernel timings and summary
+	// counters through a SpanSink on their tracer.
 	reg *metrics.Registry
-}
-
-// GaugeAgg aggregates one solver gauge across finished jobs. Gauges are
-// point-in-time values, so unlike counters they cannot be summed; the
-// rollup keeps the last value plus the min/max envelope and how many jobs
-// reported it.
-type GaugeAgg struct {
-	Last  float64 `json:"last"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Count int64   `json:"count"`
 }
 
 // NewManager starts the worker pool and returns the manager.
@@ -408,16 +389,12 @@ func NewManager(cfg Config) *Manager {
 		cfg.Runner = DefaultRunner
 	}
 	m := &Manager{
-		cfg:         cfg,
-		sched:       sched.New(sched.Config{Capacity: cfg.QueueCap, TenantQuota: cfg.TenantQuota}),
-		cache:       rescache.New(cfg.CacheBytes),
-		started:     time.Now(),
-		jobs:        map[string]*Job{},
-		aggCounters: map[string]float64{},
-		aggGauges:   map[string]float64{},
-		aggGaugeAgg: map[string]GaugeAgg{},
-		aggSpans:    map[string]obs.SpanStat{},
-		reg:         metrics.New(),
+		cfg:     cfg,
+		sched:   sched.New(sched.Config{Capacity: cfg.QueueCap, TenantQuota: cfg.TenantQuota}),
+		cache:   rescache.New(cfg.CacheBytes),
+		started: time.Now(),
+		jobs:    map[string]*Job{},
+		reg:     metrics.New(),
 	}
 	// One machine-sized SA chain pool shared by every worker: par.Pool
 	// supports concurrent Run calls, and the chains' results do not depend
@@ -434,6 +411,11 @@ func NewManager(cfg Config) *Manager {
 	}
 	return m
 }
+
+// maxGenDevices bounds the device count of a "gen:" circuit a request
+// names. It is what the request body limit already admits inline: the
+// netlist JSON of gen:16384@1 is 8,194,262 bytes, under DefaultMaxBody.
+const maxGenDevices = 16384
 
 // Validate resolves and checks a submission, returning the runnable spec.
 func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
@@ -483,6 +465,18 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 			return nil, err
 		}
 	case req.Circuit != "":
+		if gen.IsSpec(req.Circuit) {
+			// Bound the netlist before generating it: the spec is a few
+			// bytes, and the body limit does not cover what it expands to.
+			p, err := gen.ParseSpec(req.Circuit)
+			if err != nil {
+				return nil, err
+			}
+			if p.Devices > maxGenDevices {
+				return nil, fmt.Errorf("service: circuit %q is over the %d-device limit for generated circuits",
+					req.Circuit, maxGenDevices)
+			}
+		}
 		n, _, err = netio.Load("", req.Circuit)
 		if err != nil {
 			return nil, err
@@ -644,9 +638,6 @@ func cacheKeyFor(spec *JobSpec) rescache.Key {
 func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	spec, err := m.validate(req)
 	if err != nil {
-		m.mu.Lock()
-		m.rejected++
-		m.mu.Unlock()
 		m.rejectedCounter("invalid").Inc()
 		return nil, err
 	}
@@ -654,7 +645,6 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
-		m.rejected++
 		m.rejectedCounter("draining").Inc()
 		return nil, ErrDraining
 	}
@@ -692,7 +682,6 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	}
 	if err := m.sched.Enqueue(job.item); err != nil {
 		m.seq-- // slot not taken; reuse the ID
-		m.rejected++
 		var quota *sched.QuotaError
 		switch {
 		case errors.As(err, &quota):
@@ -708,16 +697,37 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	}
 	m.jobs[job.id] = job
 	m.order = append(m.order, job.id)
-	m.submitted++
 	return job, nil
 }
 
-// rejectedCounter resolves the per-reason rejection counter. Reasons are a
-// closed set: invalid, queue_full, tenant_quota, draining.
+// rejectReasons is the closed set of rejectedCounter reasons.
+var rejectReasons = []string{"invalid", "queue_full", "tenant_quota", "draining"}
+
+// rejectedCounter resolves the per-reason rejection counter; reason is one
+// of rejectReasons.
 func (m *Manager) rejectedCounter(reason string) *metrics.Counter {
 	return m.reg.Counter("placerd_jobs_rejected_total",
 		"Submissions rejected before being accepted, by reason.",
 		"reason", reason)
+}
+
+// jobsCounter resolves the counter of jobs that reached terminal state st.
+func (m *Manager) jobsCounter(st State) *metrics.Counter {
+	return m.reg.Counter("placerd_jobs_total",
+		"Jobs that reached a terminal state, by outcome.",
+		"state", string(st))
+}
+
+// Totals reads the registry's job counters: jobs that finished done,
+// failed and canceled, and submissions rejected for any reason. A series
+// not yet observed is registered at zero by the read, so placerd calls it
+// once, after its HTTP server has shut down.
+func (m *Manager) Totals() (done, failed, canceled, rejected int64) {
+	for _, reason := range rejectReasons {
+		rejected += int64(m.rejectedCounter(reason).Value())
+	}
+	return int64(m.jobsCounter(StateDone).Value()), int64(m.jobsCounter(StateFailed).Value()),
+		int64(m.jobsCounter(StateCanceled).Value()), rejected
 }
 
 // Get returns a job by ID.
@@ -792,7 +802,7 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one job end to end, including state transitions and
-// telemetry rollup.
+// the service counters.
 func (m *Manager) runJob(job *Job) {
 	job.mu.Lock()
 	if job.state != StateQueued { // canceled while queued
@@ -845,20 +855,13 @@ func (m *Manager) runJob(job *Job) {
 			"result", result).Inc()
 	}
 	if !cached {
-		m.mu.Lock()
-		m.solverRuns++
-		if job.hasKey {
-			m.cacheMisses++
-		}
-		m.mu.Unlock()
 		res, err = m.cfg.Runner(ctx, &job.spec, job.trc)
-	} else {
-		m.mu.Lock()
-		m.cacheHits++
-		m.mu.Unlock()
 	}
 	cancel()
-	job.trc.Close() // flush the summary event and end event streams
+	// Flush the summary event, which also adds the run's solver counters to
+	// the registry, and end event streams. This precedes finalize and
+	// close(done), so a waiter on Done scrapes a registry holding the job.
+	job.trc.Close()
 
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -897,14 +900,11 @@ func (m *Manager) runJob(job *Job) {
 	close(job.done)
 }
 
-// finalize updates service counters and rolls the job's solver telemetry
-// into the aggregate /metrics view. Callers run it before closing the
-// job's done channel, so a waiter on Done reads Metrics with the job in it.
+// finalize counts the job's outcome and releases its running slot.
+// Callers run it before closing the job's done channel, so a waiter on
+// Done scrapes the job's outcome.
 func (m *Manager) finalize(job *Job, final State) {
-	sum := job.trc.Summary()
-	m.reg.Counter("placerd_jobs_total",
-		"Jobs that reached a terminal state, by outcome.",
-		"state", string(final)).Inc()
+	m.jobsCounter(final).Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if final != StateCanceled || !job.started.IsZero() {
@@ -912,39 +912,6 @@ func (m *Manager) finalize(job *Job, final State) {
 		if m.running < 0 {
 			m.running = 0 // canceled-while-queued jobs never incremented
 		}
-	}
-	switch final {
-	case StateDone:
-		m.completed++
-	case StateFailed:
-		m.failed++
-	case StateCanceled:
-		m.canceledN++
-	}
-	for k, v := range sum.Counters {
-		m.aggCounters[k] += v
-	}
-	for k, v := range sum.Gauges {
-		// Keep both views: the legacy last-value map (stable JSON shape)
-		// and the min/max envelope — a plain `map[k] = v` here was
-		// last-writer-wins, hiding every job's gauge but the most recent.
-		m.aggGauges[k] = v
-		st := m.aggGaugeAgg[k]
-		if st.Count == 0 || v < st.Min {
-			st.Min = v
-		}
-		if st.Count == 0 || v > st.Max {
-			st.Max = v
-		}
-		st.Last = v
-		st.Count++
-		m.aggGaugeAgg[k] = st
-	}
-	for k, v := range sum.Spans {
-		st := m.aggSpans[k]
-		st.Count += v.Count
-		st.TotalMS += v.TotalMS
-		m.aggSpans[k] = st
 	}
 }
 
@@ -987,112 +954,42 @@ func (m *Manager) Abort() {
 	}
 }
 
-// Metrics is the /metrics payload: service counters plus the solver
-// telemetry (obs counters/gauges/span timings) rolled up across finished
-// jobs.
-type Metrics struct {
-	UptimeSec  float64 `json:"uptime_sec"`
-	Workers    int     `json:"workers"`
-	QueueDepth int     `json:"queue_depth"`
-	QueueCap   int     `json:"queue_cap"`
-	Running    int     `json:"running"`
-	Draining   bool    `json:"draining"`
-
-	JobsSubmitted int64 `json:"jobs_submitted"`
-	JobsRejected  int64 `json:"jobs_rejected"`
-	JobsCompleted int64 `json:"jobs_completed"`
-	JobsFailed    int64 `json:"jobs_failed"`
-	JobsCanceled  int64 `json:"jobs_canceled"`
-
-	// Scheduler view: per-tenant depth and in-flight counts, queued jobs
-	// by priority class, and cancelations dropped while still queued.
-	Tenants         map[string]sched.TenantStat `json:"tenants,omitempty"`
-	QueueByPriority map[string]int              `json:"queue_by_priority,omitempty"`
-	SchedDropped    int64                       `json:"sched_dropped"`
-
-	// Result-cache effectiveness: hits served without a solver run,
-	// misses that fell through to a solve, total solver invocations, and
-	// the cache's occupancy snapshot (absent when caching is disabled).
-	CacheHits   int64           `json:"cache_hits"`
-	CacheMisses int64           `json:"cache_misses"`
-	SolverRuns  int64           `json:"solver_runs"`
-	Cache       *rescache.Stats `json:"cache,omitempty"`
-
-	SolverCounters map[string]float64      `json:"solver_counters,omitempty"`
-	SolverGauges   map[string]float64      `json:"solver_gauges,omitempty"`
-	SolverSpans    map[string]obs.SpanStat `json:"solver_spans,omitempty"`
-	// SolverGaugeStats is the per-gauge envelope across finished jobs;
-	// SolverGauges keeps only each gauge's most recent value.
-	SolverGaugeStats map[string]GaugeAgg `json:"solver_gauge_stats,omitempty"`
+// Health is the /healthz snapshot: pool size, queue occupancy, and
+// whether shutdown has begun.
+type Health struct {
+	Workers    int
+	QueueDepth int
+	QueueCap   int
+	Running    int
+	Draining   bool
 }
 
-// Metrics snapshots the manager.
-func (m *Manager) Metrics() Metrics {
-	ss := m.sched.Stats()
-	var cacheStats *rescache.Stats
-	if m.cache != nil {
-		cs := m.cache.Stats()
-		cacheStats = &cs
-	}
+// Health snapshots the manager.
+func (m *Manager) Health() Health {
+	depth := m.sched.Stats().Queued
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := Metrics{
-		UptimeSec:       time.Since(m.started).Seconds(),
-		Workers:         m.cfg.Workers,
-		QueueDepth:      ss.Queued,
-		QueueCap:        m.cfg.QueueCap,
-		Running:         m.running,
-		Draining:        m.draining,
-		JobsSubmitted:   m.submitted,
-		JobsRejected:    m.rejected,
-		JobsCompleted:   m.completed,
-		JobsFailed:      m.failed,
-		JobsCanceled:    m.canceledN,
-		Tenants:         ss.Tenants,
-		QueueByPriority: ss.ByPriority,
-		SchedDropped:    ss.Dropped,
-		CacheHits:       m.cacheHits,
-		CacheMisses:     m.cacheMisses,
-		SolverRuns:      m.solverRuns,
-		Cache:           cacheStats,
-		SolverCounters:  map[string]float64{},
-		SolverGauges:    map[string]float64{},
-		SolverSpans:     map[string]obs.SpanStat{},
+	return Health{
+		Workers:    m.cfg.Workers,
+		QueueDepth: depth,
+		QueueCap:   m.cfg.QueueCap,
+		Running:    m.running,
+		Draining:   m.draining,
 	}
-	for k, v := range m.aggCounters {
-		out.SolverCounters[k] = v
-	}
-	for k, v := range m.aggGauges {
-		out.SolverGauges[k] = v
-	}
-	for k, v := range m.aggSpans {
-		out.SolverSpans[k] = v
-	}
-	if len(m.aggGaugeAgg) > 0 {
-		out.SolverGaugeStats = map[string]GaugeAgg{}
-		for k, v := range m.aggGaugeAgg {
-			out.SolverGaugeStats[k] = v
-		}
-	}
-	return out
 }
 
 // WritePrometheus renders the Prometheus text view: the queue and worker
 // gauges are refreshed from live manager state at scrape time, then the
 // whole registry — job latency histograms, per-stage and per-kernel solver
-// histograms, rejection counters — is written in deterministic order.
+// histograms, solver counters, outcome, rejection and cache counters — is
+// written in deterministic order.
 func (m *Manager) WritePrometheus(w io.Writer) error {
 	ss := m.sched.Stats()
-	m.mu.Lock()
-	qcap := m.cfg.QueueCap
-	running, workers := m.running, m.cfg.Workers
-	draining := m.draining
-	uptime := time.Since(m.started).Seconds()
-	m.mu.Unlock()
+	h := m.Health()
 
 	g := func(name, help string, v float64) { m.reg.Gauge(name, help).Set(v) }
 	g("placerd_queue_depth", "Jobs waiting in the scheduler queue.", float64(ss.Queued))
-	g("placerd_queue_cap", "Capacity of the job queue.", float64(qcap))
+	g("placerd_queue_cap", "Capacity of the job queue.", float64(h.QueueCap))
 	for tenant, ts := range ss.Tenants {
 		m.reg.Gauge("placerd_tenant_queue_depth",
 			"Jobs a tenant has waiting in the scheduler queue.",
@@ -1111,22 +1008,15 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 		g("placerd_cache_bytes", "Bytes of placement results held by the content-addressed cache.", float64(cs.Bytes))
 		g("placerd_cache_entries", "Entries in the content-addressed result cache.", float64(cs.Entries))
 	}
-	g("placerd_running_jobs", "Jobs currently executing.", float64(running))
-	g("placerd_workers", "Size of the worker pool.", float64(workers))
+	g("placerd_running_jobs", "Jobs currently executing.", float64(h.Running))
+	g("placerd_workers", "Size of the worker pool.", float64(h.Workers))
 	g("placerd_worker_utilization", "Fraction of workers busy, running/workers.",
-		float64(running)/float64(workers))
+		float64(h.Running)/float64(h.Workers))
 	d := 0.0
-	if draining {
+	if h.Draining {
 		d = 1
 	}
 	g("placerd_draining", "1 once shutdown has begun and intake is closed.", d)
-	g("placerd_uptime_seconds", "Seconds since the manager started.", uptime)
+	g("placerd_uptime_seconds", "Seconds since the manager started.", time.Since(m.started).Seconds())
 	return m.reg.WritePrometheus(w)
-}
-
-// Draining reports whether shutdown has begun.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }

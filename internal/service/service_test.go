@@ -65,6 +65,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative timeout", SubmitRequest{Circuit: "Adder", TimeoutSec: -1}, "negative timeout"},
 		{"negative threads", SubmitRequest{Circuit: "Adder", Threads: -2}, "negative threads"},
 		{"too many threads", SubmitRequest{Circuit: "Adder", Threads: 100000000}, "threads 100000000 exceeds the maximum 64"},
+		{"oversized gen", SubmitRequest{Circuit: "gen:16385@1"}, "over the 16384-device limit"},
 	}
 	for _, tc := range cases {
 		_, err := m.Submit(tc.req)
@@ -76,8 +77,13 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
 		}
 	}
-	if got := m.Metrics().JobsRejected; got != int64(len(cases)) {
-		t.Errorf("rejected counter %d, want %d", got, len(cases))
+	if got := sample(t, scrape(t, m), `placerd_jobs_rejected_total{reason="invalid"}`); got != float64(len(cases)) {
+		t.Errorf("rejected counter %g, want %d", got, len(cases))
+	}
+	// The largest generated circuit the limit admits validates; validate
+	// is called directly so that no 16k-device job is queued.
+	if _, err := m.validate(SubmitRequest{Circuit: "gen:16384@1"}); err != nil {
+		t.Errorf("gen:16384@1: %v", err)
 	}
 }
 
@@ -111,7 +117,7 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func drain(t *testing.T, m *Manager) {
+func drain(t testing.TB, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -145,9 +151,10 @@ func TestQueueSaturation(t *testing.T) {
 	}
 	waitState(t, late, StateDone)
 
-	met := m.Metrics()
-	if met.JobsCompleted != 4 || met.JobsRejected != 1 {
-		t.Errorf("counters completed=%d rejected=%d, want 4 and 1", met.JobsCompleted, met.JobsRejected)
+	text := scrape(t, m)
+	done, rejected := sample(t, text, `placerd_jobs_total{state="done"}`), sample(t, text, "placerd_jobs_rejected_total")
+	if done != 4 || rejected != 1 {
+		t.Errorf("counters done=%g rejected=%g, want 4 and 1", done, rejected)
 	}
 	drain(t, m)
 }
@@ -170,8 +177,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	close(release)
 	waitState(t, running, StateDone)
-	if m.Metrics().JobsCanceled != 1 {
-		t.Errorf("canceled counter %d, want 1", m.Metrics().JobsCanceled)
+	if got := sample(t, scrape(t, m), `placerd_jobs_total{state="canceled"}`); got != 1 {
+		t.Errorf("canceled counter %g, want 1", got)
 	}
 	drain(t, m)
 }
@@ -246,7 +253,7 @@ func TestDrainOrdering(t *testing.T) {
 func waitDraining(t *testing.T, m *Manager) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !m.Draining() {
+	for !m.Health().Draining {
 		if time.Now().After(deadline) {
 			t.Fatal("manager never started draining")
 		}
@@ -309,12 +316,17 @@ func TestConcurrentSubmissionsRealSolver(t *testing.T) {
 			t.Errorf("job %d: empty placement payload", i)
 		}
 	}
-	met := m.Metrics()
-	if met.JobsCompleted != n {
-		t.Errorf("completed %d, want %d", met.JobsCompleted, n)
+	text := scrape(t, m)
+	if got := sample(t, text, `placerd_jobs_total{state="done"}`); got != n {
+		t.Errorf("done %g, want %d", got, n)
 	}
-	if len(met.SolverCounters) == 0 || len(met.SolverSpans) == 0 {
-		t.Error("solver telemetry rollup empty after real runs")
+	// Each one-candidate eplace-a job runs GP once, and its summary
+	// reaches the registry before its Done channel closes.
+	if got := sample(t, text, `placer_solver_counter_total{method="eplace-a",size="xs",counter="gp.runs"}`); got != n {
+		t.Errorf("gp.runs %g, want %d:\n%s", got, n, text)
+	}
+	if got := sample(t, text, `placerd_stage_seconds_count{method="eplace-a",size="xs",stage="gp"}`); got != n {
+		t.Errorf("gp stage count %g, want %d:\n%s", got, n, text)
 	}
 }
 
