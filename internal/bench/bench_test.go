@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // tinyCases generates a small deterministic suite for tests.
@@ -131,6 +133,40 @@ func TestReportRoundTrip(t *testing.T) {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("report JSON missing %s", key)
 		}
+	}
+}
+
+// TestProfileMatchesTracedPlace checks an eplace-a cell's profile against
+// a traced core.PlaceCtx of the same case and options: the profile reads
+// the run's own trace summary, so the poisson_solve call counts and the
+// GP iteration counter agree.
+func TestProfileMatchesTracedPlace(t *testing.T) {
+	cases := tinyCases(t)[:1]
+	opts := quickOpts()
+	opts.Methods = []core.Method{core.MethodEPlaceA}
+	rep, err := Run(cases, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := rep.Results[0].Profile
+	if prof == nil {
+		t.Fatal("eplace-a cell has no profile")
+	}
+	tracer := obs.New()
+	if _, err := core.PlaceCtx(context.Background(), cases[0].Netlist, core.MethodEPlaceA,
+		opts.withDefaults().coreOptions(tracer)); err != nil {
+		t.Fatal(err)
+	}
+	sum := tracer.Summary()
+	want := sum.Kernels["poisson_solve"].Count
+	if got := prof.Kernels["poisson_solve"].Count; want == 0 || got != want {
+		t.Errorf("profile poisson_solve count = %d, traced Place %d", got, want)
+	}
+	if got, want := prof.Counters["gp.iterations"], sum.Counters["gp.iterations"]; want == 0 || got != want {
+		t.Errorf("profile gp.iterations = %g, traced Place %g", got, want)
+	}
+	if prof.Kernels["poisson_solve"].TotalMS <= 0 {
+		t.Errorf("profile poisson_solve total_ms = %g, want > 0", prof.Kernels["poisson_solve"].TotalMS)
 	}
 }
 
