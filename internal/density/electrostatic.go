@@ -25,15 +25,16 @@ const devGrain = 32
 // penalty N(v) is the system potential energy and its gradient is the
 // electric field ξ = -∇ψ scaled by device charge. The Poisson solve is
 // spectral: a 2-D DCT of ρ, per-frequency scaling, and inverse cosine/sine
-// reconstructions for ψ, ξx, ξy.
+// reconstructions for ξx and ξy. The potential ψ itself is never built:
+// the energy is read off the spectrum (see Energy).
 //
-// The solve is a packed, fused pipeline (see solve): every row/column pass
-// packs two real grid lines into one complex FFT (fft's *PairTo
-// transforms), column passes run on contiguous rows via cache-blocked
-// transposes instead of stride-m gathers, the spectral scaling reads one
-// precomputed per-frequency table (rebuilt only on SetRegion), and the
-// ψ/ξx/ξy reconstructions share the inverse pass over v through linearity
-// instead of running three independent 2-D transforms.
+// The solve is a packed, fused pipeline of six line passes (see solve):
+// every pass packs two real grid lines into one complex FFT (fft's
+// *PairTo transforms), the passes that change direction write their
+// outputs down grid columns instead of transposing, the spectral scaling
+// reads one precomputed per-frequency table (rebuilt only on SetRegion),
+// and the ξx and ξy coefficients are row scalings of the ψ coefficients
+// rather than grids of their own.
 //
 // Every pass runs inline on the calling goroutine. Rasterization keeps its
 // fixed device shards, a partial ρ grid per shard merged in shard order,
@@ -49,13 +50,11 @@ type Electrostatic struct {
 	plan *fft.Plan
 	rho  []float64 // device area density per bin (area units / bin area)
 	auv  []float64 // scaled DCT spectrum of rho (ψ coefficients, [u*m+v])
-	psi  []float64 // potential per bin
 	ex   []float64 // field x-component per bin
 	ey   []float64 // field y-component per bin
 
 	work    []float64 // scratch: half-transformed grids
-	coefBuf []float64 // scratch: transposed half-transformed grids
-	lineE   []float64 // per-row Σ ρ·ψ partials (deterministic energy)
+	lineE   []float64 // per-u Σ_v s·R² partials (deterministic energy)
 	b0, b1  []float64 // scratch: frequency-scaled coefficient lines
 	partRho []float64 // scratch: one raster shard's partial ρ grid
 
@@ -88,19 +87,20 @@ type overlap struct {
 	ov  float64
 }
 
-// NewElectrostatic creates an m×m electrostatic grid (m a power of two)
-// covering region.
+// NewElectrostatic creates an m×m electrostatic grid (m a power of two,
+// at least 2) covering region.
 func NewElectrostatic(m int, region geom.Rect) *Electrostatic {
+	if m < 2 {
+		panic("density: electrostatic grid needs m ≥ 2")
+	}
 	g := &Electrostatic{
 		m:        m,
 		plan:     fft.NewPlan(m),
 		rho:      make([]float64, m*m),
 		auv:      make([]float64, m*m),
-		psi:      make([]float64, m*m),
 		ex:       make([]float64, m*m),
 		ey:       make([]float64, m*m),
 		work:     make([]float64, m*m),
-		coefBuf:  make([]float64, m*m),
 		lineE:    make([]float64, m),
 		b0:       make([]float64, m),
 		b1:       make([]float64, m),
@@ -207,8 +207,8 @@ func binRange(a, b, o, s float64, m int) (int, int) {
 }
 
 // Update rebuilds the density field from placement p and re-solves the
-// Poisson system, refreshing ψ and ξ and the device footprints AddGrad
-// samples the field over.
+// Poisson system, refreshing ξ, the energy and the device footprints
+// AddGrad samples the field over.
 func (g *Electrostatic) Update(n *circuit.Netlist, p *circuit.Placement) {
 	t0 := g.Tracer.Now()
 	g.accumulate(n, p)
@@ -309,27 +309,25 @@ func (g *Electrostatic) rasterize(lo, hi int, dst []float64) {
 	}
 }
 
-// solve computes ψ and ξ from the current ρ via the packed, fused
-// spectral Poisson solve. Data flow (DESIGN.md §14 has the derivation):
+// solve computes ξ and the energy partials from the current ρ via the
+// packed, fused spectral Poisson solve. Data flow (DESIGN.md §14 has the
+// derivation), with R the raw 2-D DCT-II of ρ and s = scaleTab:
 //
-//	F1  DCT over x of every ρ row (packed pairs)        → auv[y][u]
-//	T1  tiled transpose                                 → work[u][y]
-//	F2  DCT over y of every row, fused ·scaleTab        → auv[u][v]  (ψ coefficients)
-//	R1  InvCos over v of every row                      → work[u][y] (shared half-reconstruction Q)
-//	T2  tiled transpose                                 → coefBuf[y][u]
-//	R2a InvCos over u → ψ rows; InvSin over u of wu·row → ξx rows; fused Σ ρ·ψ row partials
-//	R1b InvSin over v of wv-scaled auv rows             → work[u][y]
-//	T3  tiled transpose                                 → coefBuf[y][u]
-//	R2b InvCos over u                                   → ξy rows
+//	F1  DCT over x of every ρ row, written down work's columns → work[u][y]
+//	F2  DCT over y of every row, fused ·s and Σ_v s·R² per u   → auv[u][v]  (ψ coefficients)
+//	R1  InvCos over v of every row, written down columns       → work[y][u] (shared half-reconstruction Q)
+//	R2a InvSin over u of wu-scaled rows                        → ξx rows
+//	R1b InvSin over v of wv-scaled auv rows, down columns      → work[y][u]
+//	R2b InvCos over u                                          → ξy rows
 //
-// The three reconstructions share work through linearity: the ξx
-// coefficients a·wu/(wu²+wv²) are the ψ coefficients times a constant per
-// u-line, so ξx reuses ψ's inverse-over-v pass (Q) and only pays its own
-// inverse over u; likewise ξy's wv factor is constant per v and folds
-// into a row scaling before its single extra inverse-over-v pass. That is
-// 5 line passes instead of the 8 of three independent 2-D transforms, and
-// with two real lines packed per complex FFT, 3.5m length-m FFTs per
-// solve instead of 8m.
+// The field coefficients a·wu/(wu²+wv²) and a·wv/(wu²+wv²) are the ψ
+// coefficients times a constant per u-line or per v-line, so neither needs
+// a coefficient grid: ξx scales Q's rows by wu before its inverse over u,
+// and ξy scales auv's rows by wv before its inverse over v. That is two
+// forward and four inverse line passes, and with two real lines packed per
+// complex FFT, 3m length-m FFTs per solve. The passes that turn the grid
+// from rows to columns (F1, R1, R1b) write each output line down a column
+// of work, so no pass transposes.
 //
 // Mean neutralization is implicit: subtracting the mean density only
 // changes the (0,0) DCT term, and scaleTab zeroes exactly that term, so
@@ -338,132 +336,75 @@ func (g *Electrostatic) rasterize(lo, hi int, dst []float64) {
 func (g *Electrostatic) solve() {
 	m := g.m
 	plan := g.plan
-	// F1: forward DCT along x of every ρ row, two rows per complex FFT.
-	g.forLinePairs(func(y0, y1 int) {
-		if y1 < 0 {
-			plan.DCT2To(g.rho[y0*m:y0*m+m], g.auv[y0*m:y0*m+m])
-			return
-		}
-		plan.DCT2PairTo(g.rho[y0*m:y0*m+m], g.rho[y1*m:y1*m+m],
-			g.auv[y0*m:y0*m+m], g.auv[y1*m:y1*m+m])
-	})
-	// T1: [y][u] → [u][y] so the y-direction DCT runs on contiguous rows.
-	fft.Transpose(g.work, g.auv, m)
-	// F2: forward DCT along y, scaled in place to ψ coefficients while the
-	// rows are cache-hot.
-	g.forLinePairs(func(u0, u1 int) {
-		o0 := g.auv[u0*m : u0*m+m]
-		if u1 < 0 {
-			plan.DCT2To(g.work[u0*m:u0*m+m], o0)
-		} else {
-			plan.DCT2PairTo(g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m],
-				o0, g.auv[u1*m:u1*m+m])
-		}
-		for v, s := range g.scaleTab[u0*m : u0*m+m] {
-			o0[v] *= s
-		}
-		if u1 >= 0 {
-			o1 := g.auv[u1*m : u1*m+m]
-			for v, s := range g.scaleTab[u1*m : u1*m+m] {
-				o1[v] *= s
-			}
-		}
-	})
-	// R1: shared half-reconstruction Q[u][y] = InvCos over v of the ψ
-	// coefficient rows. ψ and ξx both build on Q.
-	g.forLinePairs(func(u0, u1 int) {
-		if u1 < 0 {
-			plan.InvCosTo(g.auv[u0*m:u0*m+m], g.work[u0*m:u0*m+m])
-			return
-		}
-		plan.InvCosPairTo(g.auv[u0*m:u0*m+m], g.auv[u1*m:u1*m+m],
-			g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m])
-	})
-	// T2: Q[u][y] → coefBuf[y][u].
-	fft.Transpose(g.coefBuf, g.work, m)
-	// R2a: per output row y, ψ = InvCos over u of Q^T, and ξx = InvSin
-	// over u of the same row scaled by wu (the per-u constant that turns ψ
-	// coefficients into ξx coefficients). The Σ ρ·ψ energy partial of each
-	// finished ψ row is accumulated here too, in a fixed per-row
-	// summation order.
+	rho, auv, work := g.rho, g.auv, g.work
 	b0, b1 := g.b0, g.b1
-	g.forLinePairs(func(y0, y1 int) {
-		q0 := g.coefBuf[y0*m : y0*m+m]
-		if y1 < 0 {
-			plan.InvCosTo(q0, g.psi[y0*m:y0*m+m])
-			for u := 0; u < m; u++ {
-				b0[u] = g.wuTab[u] * q0[u]
-			}
-			plan.InvSinTo(b0, g.ex[y0*m:y0*m+m])
-			g.lineE[y0] = dot(g.rho[y0*m:y0*m+m], g.psi[y0*m:y0*m+m])
-			return
-		}
-		q1 := g.coefBuf[y1*m : y1*m+m]
-		plan.InvCosPairTo(q0, q1, g.psi[y0*m:y0*m+m], g.psi[y1*m:y1*m+m])
-		for u := 0; u < m; u++ {
-			w := g.wuTab[u]
+	// F1: forward DCT along x of every ρ row, two rows per complex FFT,
+	// row y's spectrum written down column y of work.
+	for y := 0; y < m; y += 2 {
+		plan.DCT2PairTo(rho[y*m:y*m+m], rho[y*m+m:y*m+2*m], work[y:], work[y+1:], m)
+	}
+	// F2: forward DCT along y, scaled in place to ψ coefficients while the
+	// rows are cache-hot. Each raw coefficient r is also folded into its
+	// row's energy partial as r·(r·s) = s·R² (see Energy).
+	for u := 0; u < m; u += 2 {
+		o0, o1 := auv[u*m:u*m+m], auv[u*m+m:u*m+2*m]
+		plan.DCT2PairTo(work[u*m:u*m+m], work[u*m+m:u*m+2*m], o0, o1, 1)
+		g.lineE[u] = scaleLine(o0, g.scaleTab[u*m:u*m+m])
+		g.lineE[u+1] = scaleLine(o1, g.scaleTab[u*m+m:u*m+2*m])
+	}
+	// R1: shared half-reconstruction Q = InvCos over v of the ψ
+	// coefficient rows, row u written down column u: work[y][u].
+	for u := 0; u < m; u += 2 {
+		plan.InvCosPairTo(auv[u*m:u*m+m], auv[u*m+m:u*m+2*m], work[u:], work[u+1:], m)
+	}
+	// R2a: per output row y, ξx = InvSin over u of Q's row y scaled by wu
+	// (the per-u constant that turns ψ coefficients into ξx coefficients).
+	for y := 0; y < m; y += 2 {
+		q0, q1 := work[y*m:y*m+m], work[y*m+m:y*m+2*m]
+		for u, w := range g.wuTab {
 			b0[u] = w * q0[u]
 			b1[u] = w * q1[u]
 		}
-		plan.InvSinPairTo(b0, b1, g.ex[y0*m:y0*m+m], g.ex[y1*m:y1*m+m])
-		g.lineE[y0] = dot(g.rho[y0*m:y0*m+m], g.psi[y0*m:y0*m+m])
-		g.lineE[y1] = dot(g.rho[y1*m:y1*m+m], g.psi[y1*m:y1*m+m])
-	})
-	// R1b: S[u][y] = InvSin over v of the wv-scaled ψ coefficient rows
-	// (wv is constant per v, so scaling the row is the whole ξy
-	// coefficient build — no third coefficient grid).
-	g.forLinePairs(func(u0, u1 int) {
-		for v, a := range g.auv[u0*m : u0*m+m] {
-			b0[v] = g.wvTab[v] * a
+		plan.InvSinPairTo(b0, b1, g.ex[y*m:y*m+m], g.ex[y*m+m:y*m+2*m], 1)
+	}
+	// R1b: S = InvSin over v of the wv-scaled ψ coefficient rows (wv is
+	// constant per v, so scaling the row is the whole ξy coefficient
+	// build), row u written down column u: work[y][u].
+	for u := 0; u < m; u += 2 {
+		a0, a1 := auv[u*m:u*m+m], auv[u*m+m:u*m+2*m]
+		for v, w := range g.wvTab {
+			b0[v] = w * a0[v]
+			b1[v] = w * a1[v]
 		}
-		if u1 < 0 {
-			plan.InvSinTo(b0, g.work[u0*m:u0*m+m])
-			return
-		}
-		for v, a := range g.auv[u1*m : u1*m+m] {
-			b1[v] = g.wvTab[v] * a
-		}
-		plan.InvSinPairTo(b0, b1, g.work[u0*m:u0*m+m], g.work[u1*m:u1*m+m])
-	})
-	// T3: S[u][y] → coefBuf[y][u].
-	fft.Transpose(g.coefBuf, g.work, m)
-	// R2b: ξy rows = InvCos over u of S^T.
-	g.forLinePairs(func(y0, y1 int) {
-		if y1 < 0 {
-			plan.InvCosTo(g.coefBuf[y0*m:y0*m+m], g.ey[y0*m:y0*m+m])
-			return
-		}
-		plan.InvCosPairTo(g.coefBuf[y0*m:y0*m+m], g.coefBuf[y1*m:y1*m+m],
-			g.ey[y0*m:y0*m+m], g.ey[y1*m:y1*m+m])
-	})
-}
-
-// forLinePairs runs body(a, b) over the grid's m lines in the fixed packed
-// pairing (0,1), (2,3), …, with b = -1 on the unpaired tail line of an odd
-// count.
-func (g *Electrostatic) forLinePairs(body func(a, b int)) {
-	for a := 0; a < g.m; a += 2 {
-		b := a + 1
-		if b >= g.m {
-			b = -1
-		}
-		body(a, b)
+		plan.InvSinPairTo(b0, b1, work[u:], work[u+1:], m)
+	}
+	// R2b: ξy rows = InvCos over u of S's rows.
+	for y := 0; y < m; y += 2 {
+		plan.InvCosPairTo(work[y*m:y*m+m], work[y*m+m:y*m+2*m],
+			g.ey[y*m:y*m+m], g.ey[y*m+m:y*m+2*m], 1)
 	}
 }
 
-// dot returns Σ a[i]·b[i] in index order.
-func dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
+// scaleLine scales the raw DCT line r by s in place and returns
+// Σ r·(r·s), accumulated in index order.
+func scaleLine(r, s []float64) float64 {
+	var e float64
+	s = s[:len(r)]
+	for v, x := range r {
+		a := x * s[v]
+		r[v] = a
+		e += x * a
 	}
-	return s
+	return e
 }
 
 // Energy returns the electrostatic potential energy N(v) = ½·Σ q·ψ of the
-// last Update. The per-row Σ ρ·ψ partials were accumulated while the ψ
-// rows were cache-hot in solve; only the sequential row merge (fixed
-// order — deterministic) and the ½·binArea scaling remain.
+// last Update, without ψ. With R the raw (unnormalized) 2-D DCT-II of ρ
+// and a = s·R the ψ coefficients, ψ = Σ_uv a_uv·cos·cos, so
+// Σ_xy ρ·ψ = Σ_uv a_uv·Σ_xy ρ·cos·cos = Σ_uv s_uv·R_uv² exactly. solve
+// accumulated each u-row's Σ_v s·R² while it scaled the spectrum; only
+// the merge in fixed u order (deterministic) and the ½·binArea scaling
+// remain. The value equals the ψ-based sum up to rounding.
 func (g *Electrostatic) Energy() float64 {
 	var e float64
 	for _, v := range g.lineE {
@@ -517,9 +458,6 @@ func (g *Electrostatic) Overflow(n *circuit.Netlist, targetDensity float64) floa
 // Rho returns the density value of bin (x, y) from the last Update
 // (exported for diagnostics and tests).
 func (g *Electrostatic) Rho(x, y int) float64 { return g.rho[y*g.m+x] }
-
-// Psi returns the potential of bin (x, y) from the last Update.
-func (g *Electrostatic) Psi(x, y int) float64 { return g.psi[y*g.m+x] }
 
 // Field returns the (ξx, ξy) field of bin (x, y) from the last Update.
 func (g *Electrostatic) Field(x, y int) (float64, float64) {

@@ -62,14 +62,14 @@ func (b *denseBasis) series(tab, a, out []float64) {
 	}
 }
 
-// denseReference recomputes ψ, ξx, ξy, and the energy of g's current ρ
+// denseReference recomputes ξx, ξy, and the ψ-based energy of g's current ρ
 // with the textbook dense pipeline the packed solve replaced: explicit
 // mean neutralization, 2-D DCT-II via dense O(N²) transforms (rows, then
 // stride-gathered columns), a separate normalization sweep, three
 // independently built coefficient grids with per-element wu/wv math, and
 // three independent dense 2-D reconstructions. Deliberately naive — it
 // shares no code with the fast path.
-func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
+func denseReference(g *Electrostatic) (ex, ey []float64, energy float64) {
 	m := g.m
 	p := newDenseBasis(m)
 	a := make([]float64, m*m)
@@ -147,7 +147,7 @@ func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
 			}
 		}
 	}
-	psi = make([]float64, m*m)
+	psi := make([]float64, m*m)
 	ex = make([]float64, m*m)
 	ey = make([]float64, m*m)
 	build(func(u, v int) float64 { return 1 })
@@ -161,7 +161,7 @@ func denseReference(g *Electrostatic) (psi, ex, ey []float64, energy float64) {
 		energy += r * binArea * psi[i]
 	}
 	energy /= 2
-	return psi, ex, ey, energy
+	return ex, ey, energy
 }
 
 // scatter places k overlapping square devices deterministically across
@@ -176,7 +176,7 @@ func scatter(k int, side, span float64) (*circuit.Netlist, *circuit.Placement) {
 }
 
 // TestElectrostaticMatchesDenseReference cross-validates the full packed,
-// fused solve — ψ, ξx, ξy, and Energy — against the dense-reference build
+// fused solve — ξx, ξy, and Energy — against the dense-reference build
 // at every production grid size up to m = 256. 1e-10 relative (against
 // the field's max magnitude) is the acceptance bound; the packed path
 // typically lands several digits inside it.
@@ -186,7 +186,7 @@ func TestElectrostaticMatchesDenseReference(t *testing.T) {
 		n, p := scatter(25, span/10, span)
 		g := NewElectrostatic(m, geom.RectWH(0, 0, span, span))
 		g.Update(n, p)
-		refPsi, refEx, refEy, refE := denseReference(g)
+		refEx, refEy, refE := denseReference(g)
 		maxAbs := func(a []float64) float64 {
 			var mx float64
 			for _, v := range a {
@@ -197,9 +197,8 @@ func TestElectrostaticMatchesDenseReference(t *testing.T) {
 			return mx
 		}
 		for name, pair := range map[string][2][]float64{
-			"psi": {g.psi, refPsi},
-			"ex":  {g.ex, refEx},
-			"ey":  {g.ey, refEy},
+			"ex": {g.ex, refEx},
+			"ey": {g.ey, refEy},
 		} {
 			got, ref := pair[0], pair[1]
 			tol := 1e-10 * (1 + maxAbs(ref))

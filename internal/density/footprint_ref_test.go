@@ -112,23 +112,14 @@ func bitsDiffer(a, b []float64) int {
 	return -1
 }
 
-// TestElectrostaticMatchesPerBinReference pins the footprint tables to the
-// per-bin loops bit for bit over the five circuits the eplace benchmark
-// places plus gen:48@49, whose 48 devices make two raster shards. The
-// m = 32 grid covers the region ePlace-A gives each netlist at its
-// default utilization of 0.8. The reference ρ
-// goes through the same solve, so ψ, ξ and Energy check the pipeline
-// around the tables; fft's reference test pins the transforms themselves.
-// Placements spread devices across and beyond the region edges (where the
-// inflated rectangle is clamped), and one grid is reused throughout, so
-// stale table entries from a previous Update would show.
-func TestElectrostaticMatchesPerBinReference(t *testing.T) {
-	const m = 32
-	// gen:48@49 also gets devices narrower, shorter, or both, than an m = 32
-	// bin (inflated, with their charge scaled), and one wider than the
-	// region (clipped).
+// refTrialNets returns the netlists of the reference trials: the five
+// circuits the eplace benchmark places plus gen:48@49, whose 48 devices
+// make two raster shards. gen:48@49 also gets devices narrower, shorter,
+// or both, than an m = 32 bin (inflated, with their charge scaled), and
+// one wider than the region (clipped).
+func refTrialNets(t testing.TB) []*circuit.Netlist {
 	gen48, _ := bellBenchNetlist(t)
-	bin := math.Sqrt(gen48.TotalDeviceArea()/0.8) / m
+	bin := math.Sqrt(gen48.TotalDeviceArea()/0.8) / 32
 	gen48.Devices[1].W = 0.3 * bin
 	gen48.Devices[2].H = 0.4 * bin
 	gen48.Devices[3].W, gen48.Devices[3].H = 0.5*bin, 0.7*bin
@@ -141,25 +132,57 @@ func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 		}
 		nets = append(nets, c.Netlist)
 	}
+	return nets
+}
+
+// refTrialRegion is the square region ePlace-A gives n at its default
+// utilization of 0.8.
+func refTrialRegion(n *circuit.Netlist) geom.Rect {
+	side := math.Sqrt(n.TotalDeviceArea() / 0.8)
+	return geom.RectWH(0, 0, side, side)
+}
+
+// refTrialPlacement fills p with trial's placement in region: devices
+// spread across and beyond the region edges (where the inflated rectangle
+// is clamped), from 0.2 to 1.5 region sides around the center, and every
+// third trial puts the last device far outside.
+func refTrialPlacement(rng *rand.Rand, p *circuit.Placement, region geom.Rect, trial int) {
+	side := region.W()
+	nd := len(p.X)
+	spread := 0.2 + 1.3*float64(trial%4)/3 // 0.2 … 1.5 × side around the center
+	for i := 0; i < nd; i++ {
+		p.X[i] = side/2 + (rng.Float64()-0.5)*spread*side
+		p.Y[i] = side/2 + (rng.Float64()-0.5)*spread*side
+	}
+	if trial%3 == 0 {
+		p.X[nd-1], p.Y[nd-1] = -3*side, 4*side
+	}
+}
+
+// refTrials is the number of placements each reference trial netlist gets.
+const refTrials = 24
+
+// TestElectrostaticMatchesPerBinReference pins the footprint tables to the
+// per-bin loops bit for bit over the reference trials (refTrialNets). The
+// m = 32 grid covers the region ePlace-A gives each netlist at its default
+// utilization of 0.8. The reference ρ goes through the same solve, so ξ
+// and Energy check the pipeline around the tables; refSolve and fft's
+// reference tests pin the solve and the transforms themselves. One grid
+// is reused throughout, so stale table entries from a previous Update
+// would show.
+func TestElectrostaticMatchesPerBinReference(t *testing.T) {
+	const m = 32
 	rng := rand.New(rand.NewSource(32))
-	for _, n := range nets {
-		side := math.Sqrt(n.TotalDeviceArea() / 0.8)
-		region := geom.RectWH(0, 0, side, side)
+	for _, n := range refTrialNets(t) {
+		region := refTrialRegion(n)
 		grids := map[string]*Electrostatic{
 			"inline": NewElectrostatic(m, region),
 		}
 		ref := NewElectrostatic(m, region)
 		nd := len(n.Devices)
 		p := circuit.NewPlacement(n)
-		for trial := 0; trial < 24; trial++ {
-			spread := 0.2 + 1.3*float64(trial%4)/3 // 0.2 … 1.5 × side around the center
-			for i := 0; i < nd; i++ {
-				p.X[i] = side/2 + (rng.Float64()-0.5)*spread*side
-				p.Y[i] = side/2 + (rng.Float64()-0.5)*spread*side
-			}
-			if trial%3 == 0 {
-				p.X[nd-1], p.Y[nd-1] = -3*side, 4*side
-			}
+		for trial := 0; trial < refTrials; trial++ {
+			refTrialPlacement(rng, p, region, trial)
 			refAccumulate(ref, n, p)
 			ref.solve()
 			g0 := make([]float64, nd)
@@ -176,7 +199,6 @@ func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 					got, want []float64
 				}{
 					{"rho", g.rho, ref.rho},
-					{"psi", g.psi, ref.psi},
 					{"ex", g.ex, ref.ex},
 					{"ey", g.ey, ref.ey},
 				} {

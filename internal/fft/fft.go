@@ -1,8 +1,8 @@
 // Package fft provides the spectral transforms behind ePlace-style
 // electrostatic placement: an iterative radix-2 complex FFT, an FFT-based
 // forward DCT-II, and the inverse cosine/sine reconstructions used to
-// evaluate the electrostatic potential ψ and field ξ from frequency-domain
-// Poisson coefficients. Every trig transform is O(N log N): the forward
+// evaluate the electrostatic field ξ from frequency-domain Poisson
+// coefficients. Every trig transform is O(N log N): the forward
 // DCT-II uses the Makhoul even-odd permutation and one length-N FFT, the
 // inverse cosine series inverts that recombination with one length-N IFFT,
 // and the sine series reduces to the cosine series by index reversal
@@ -22,6 +22,7 @@ import (
 type Plan struct {
 	n         int
 	rev       []int        // bit-reversal permutation of 0..N-1
+	src       []int        // DCT-II gather: slot j holds x[src[j]]; see NewPlan
 	twiddle   []complex128 // e^{-iπk/(2N)}, k = 0..N-1 (forward)
 	untwiddle []complex128 // e^{+iπk/(2N)}, k = 0..N-1 (inverse)
 	fwdStage  []complex128 // per-stage forward FFT twiddles; see stageTables
@@ -37,6 +38,7 @@ func NewPlan(n int) *Plan {
 	p := &Plan{
 		n:         n,
 		rev:       make([]int, n),
+		src:       make([]int, n),
 		twiddle:   make([]complex128, n),
 		untwiddle: make([]complex128, n),
 		cbuf:      make([]complex128, n),
@@ -44,6 +46,17 @@ func NewPlan(n int) *Plan {
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := range p.rev {
 		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
+	}
+	// The DCT-II's even-odd permutation puts x[2k] at position k < N/2 and
+	// x[2N−1−2k] at k ≥ N/2, and the FFT takes position k from slot rev[k];
+	// src composes the two, so slot j loads x[src[j]] with no permutation
+	// sweep.
+	for j, k := range p.rev {
+		if 2*k < n {
+			p.src[j] = 2 * k
+		} else {
+			p.src[j] = 2*n - 1 - 2*k
+		}
 	}
 	for k := 0; k < n; k++ {
 		arg := math.Pi * float64(k) / (2 * float64(n))
@@ -82,9 +95,7 @@ func stageTables(n int) (fwd, inv []complex128) {
 // The arithmetic is that of the textbook in-place loop: each butterfly
 // computes a ± b·w with Go's complex multiply, b on the left, and the k = 0
 // butterfly of every block skips its multiply by w = 1. The stages of size
-// 2 and 4 run fused, one pass over each block of four. Their twiddles are
-// w = 1 except tw[3] = e^{∓iπ/2}, whose real part is 6.1e-17 rather than
-// 0, so that one stays a full complex multiply.
+// 2 and 4 run fused, one pass over each block of four (first4).
 func butterflies(x, tw []complex128) {
 	n := len(x)
 	if n < 4 {
@@ -97,13 +108,30 @@ func butterflies(x, tw []complex128) {
 	w3 := tw[3]
 	for s := 0; s+4 <= len(x); s += 4 {
 		q := x[s : s+4 : s+4]
-		a0, a1 := q[0]+q[1], q[0]-q[1]
-		b0, b1 := q[2]+q[3], q[2]-q[3]
-		t := b1 * w3
-		q[0], q[2] = a0+b0, a0-b0
-		q[1], q[3] = a1+t, a1-t
+		first4(q, q[0], q[1], q[2], q[3], w3)
 	}
-	for half := 4; half < n; half <<= 1 {
+	radix2(x, tw, 4, n)
+}
+
+// first4 runs the size-2 and size-4 butterflies of one block of four
+// inputs x0…x3, taken in bit-reversed order, and stores the block in q.
+// Their twiddles are w = 1 except w3 = tw[3] = e^{∓iπ/2}, whose real part
+// is 6.1e-17 rather than 0, so that one stays a full complex multiply. The
+// pair transforms pass inputs they load straight from their lines, so the
+// first pass needs no staging sweep.
+func first4(q []complex128, x0, x1, x2, x3, w3 complex128) {
+	a0, a1 := x0+x1, x0-x1
+	b0, b1 := x2+x3, x2-x3
+	t := b1 * w3
+	q[0], q[2] = a0+b0, a0-b0
+	q[1], q[3] = a1+t, a1-t
+}
+
+// radix2 runs the radix-2 stages over x that merge blocks of half-size
+// from, 2·from, … while the half-size is below to.
+func radix2(x, tw []complex128, from, to int) {
+	n := len(x)
+	for half := from; half < to; half <<= 1 {
 		for s := 0; s < n; s += 2 * half {
 			// Three slices of one length, so the inner loop runs without
 			// bounds checks.
@@ -122,6 +150,18 @@ func butterflies(x, tw []complex128) {
 	}
 }
 
+// last returns butterfly k of the final radix-2 stage, X[k] and X[k+h]
+// with h = N/2, from x after every earlier stage; w is the stage's
+// twiddle run tw[h:2h]. The pair transforms unpack these straight from
+// registers instead of storing the stage.
+func last(x, w []complex128, k, h int) (complex128, complex128) {
+	a, b := x[k], x[k+h]
+	if k > 0 {
+		b *= w[k]
+	}
+	return a + b, a - b
+}
+
 // N returns the plan's transform length.
 func (p *Plan) N() int { return p.n }
 
@@ -136,14 +176,8 @@ func (p *Plan) DCT2To(x, out []float64) {
 	if len(x) != n || len(out) != n {
 		panic("fft: DCT2 size mismatch")
 	}
-	half := n / 2
-	rev := p.rev
-	for i := 0; i < half; i++ {
-		p.cbuf[rev[i]] = complex(x[2*i], 0)
-		p.cbuf[rev[n-1-i]] = complex(x[2*i+1], 0)
-	}
-	if n == 1 {
-		p.cbuf[0] = complex(x[0], 0)
+	for j, i := range p.src {
+		p.cbuf[j] = complex(x[i], 0)
 	}
 	butterflies(p.cbuf, p.fwdStage)
 	for k := 0; k < n; k++ {
@@ -222,6 +256,16 @@ func (p *Plan) InvSinTo(a, out []float64) {
 	}
 }
 
+// checkPair panics unless a0 and a1 hold N values each and out0 and out1
+// have room for N values stride apart.
+func (p *Plan) checkPair(a0, a1, out0, out1 []float64, stride int) {
+	n := p.n
+	if len(a0) != n || len(a1) != n || stride < 1 ||
+		len(out0) < (n-1)*stride+1 || len(out1) < (n-1)*stride+1 {
+		panic("fft: transform size mismatch")
+	}
+}
+
 // DCT2PairTo computes the unnormalized DCT-II of two independent real
 // lines with a single complex FFT: the classic two-for-one Hermitian
 // packing z = v₀ + i·v₁ (each line even-odd permuted as in DCT2To). The
@@ -229,34 +273,75 @@ func (p *Plan) InvSinTo(a, out []float64) {
 // spectra separate exactly as V₀[k] = (Z[k] + conj(Z[N−k]))/2 and
 // V₁[k] = (Z[k] − conj(Z[N−k]))/(2i), after which each line gets the
 // usual quarter-wave post-twiddle. Halves the FFT work of the row/column
-// passes in the spectral Poisson solve. xi and outi may alias pairwise.
-func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64) {
-	n := p.n
-	if len(x0) != n || len(x1) != n || len(out0) != n || len(out1) != n {
-		panic("fft: transform size mismatch")
-	}
+// passes in the spectral Poisson solve.
+//
+// Output k of line j goes to outj[k·stride]: stride 1 writes a row, and
+// stride m into an m×m row-major grid writes a column. Every input is read
+// before any output is written, so xi and outi may alias.
+//
+// From N = 8 up, the input loads straight from the lines into the first
+// butterfly pass, and the last radix-2 stage hands each butterfly pair to
+// the unpack in registers: butterflies k and N/2−k produce Z[k], Z[N−k],
+// Z[N/2−k] and Z[N/2+k], which are all that outputs k, N−k, N/2−k and
+// N/2+k read. The arithmetic is that of the staged loops, operation for
+// operation.
+func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64, stride int) {
+	p.checkPair(x0, x1, out0, out1, stride)
+	n, c := p.n, p.cbuf
 	if n == 1 {
 		out0[0], out1[0] = x0[0], x1[0]
 		return
 	}
-	rev := p.rev
-	for i := 0; i < n/2; i++ {
-		p.cbuf[rev[i]] = complex(x0[2*i], x1[2*i])
-		p.cbuf[rev[n-1-i]] = complex(x0[2*i+1], x1[2*i+1])
+	src, tw := p.src, p.twiddle
+	if n < 8 {
+		for j, i := range src {
+			c[j] = complex(x0[i], x1[i])
+		}
+		butterflies(c, p.fwdStage)
+		out0[0], out1[0] = real(c[0]), imag(c[0])
+		for k := 1; k < n; k++ {
+			dctOut(out0, out1, k*stride, tw[k], c[k], c[n-k])
+		}
+		return
 	}
-	butterflies(p.cbuf, p.fwdStage)
-	out0[0] = real(p.cbuf[0])
-	out1[0] = imag(p.cbuf[0])
-	for k := 1; k < n; k++ {
-		zk, zn := p.cbuf[k], p.cbuf[n-k]
-		v0r := (real(zk) + real(zn)) / 2
-		v0i := (imag(zk) - imag(zn)) / 2
-		v1r := (imag(zk) + imag(zn)) / 2
-		v1i := (real(zn) - real(zk)) / 2
-		twr, twi := real(p.twiddle[k]), imag(p.twiddle[k])
-		out0[k] = twr*v0r - twi*v0i
-		out1[k] = twr*v1r - twi*v1i
+	w3 := p.fwdStage[3]
+	for s := 0; s < n; s += 4 {
+		i0, i1, i2, i3 := src[s], src[s+1], src[s+2], src[s+3]
+		first4(c[s:s+4:s+4], complex(x0[i0], x1[i0]), complex(x0[i1], x1[i1]),
+			complex(x0[i2], x1[i2]), complex(x0[i3], x1[i3]), w3)
 	}
+	h := n / 2
+	radix2(c, p.fwdStage, 4, h)
+	w := p.fwdStage[h:n]
+	z0, zh := last(c, w, 0, h)
+	out0[0], out1[0] = real(z0), imag(z0)
+	dctOut(out0, out1, h*stride, tw[h], zh, zh)
+	for k := 1; k < h/2; k++ {
+		j := h - k
+		zk, zkh := last(c, w, k, h) // Z[k], Z[N/2+k]
+		zj, zjh := last(c, w, j, h) // Z[N/2−k], Z[N−k]
+		dctOut(out0, out1, k*stride, tw[k], zk, zjh)
+		dctOut(out0, out1, (n-k)*stride, tw[n-k], zjh, zk)
+		dctOut(out0, out1, j*stride, tw[j], zj, zkh)
+		dctOut(out0, out1, (h+k)*stride, tw[h+k], zkh, zj)
+	}
+	q := h / 2
+	zq, zqh := last(c, w, q, h) // Z[N/4], Z[3N/4]
+	dctOut(out0, out1, q*stride, tw[q], zq, zqh)
+	dctOut(out0, out1, (h+q)*stride, tw[h+q], zqh, zq)
+}
+
+// dctOut unpacks output k ≥ 1 of both DCT2PairTo lines from the packed
+// spectrum entries zk = Z[k] and zn = Z[N−k], with tw = twiddle[k], and
+// stores it at offset at.
+func dctOut(out0, out1 []float64, at int, tw, zk, zn complex128) {
+	v0r := (real(zk) + real(zn)) / 2
+	v0i := (imag(zk) - imag(zn)) / 2
+	v1r := (imag(zk) + imag(zn)) / 2
+	v1i := (real(zn) - real(zk)) / 2
+	twr, twi := real(tw), imag(tw)
+	out0[at] = twr*v0r - twi*v0i
+	out1[at] = twr*v1r - twi*v1i
 }
 
 // InvCosPairTo evaluates the cosine series of two independent coefficient
@@ -264,82 +349,86 @@ func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64) {
 // InvCosTo) is Hermitian — its inverse FFT is real — so both pack into
 // one complex spectrum Z = V₀ + i·V₁; after one inverse FFT the real part
 // carries line 0 and the imaginary part line 1, each undoing the even-odd
-// permutation. ai and outi may alias pairwise.
-func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64) {
-	n := p.n
-	if len(a0) != n || len(a1) != n || len(out0) != n || len(out1) != n {
-		panic("fft: transform size mismatch")
-	}
-	if n == 1 {
-		out0[0], out1[0] = a0[0], a1[0]
-		return
-	}
-	rev := p.rev
-	p.cbuf[0] = complex(a0[0], a1[0])
-	for k := 1; k < n; k++ {
-		// V₀[k] + i·V₁[k] with Vj[k] = untwiddle[k]·(aj[k] − i·aj[n−k])/2.
-		p.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[k]+a1[n-k])/2, (a1[k]-a0[n-k])/2)
-	}
-	butterflies(p.cbuf, p.invStage)
-	for i := 0; i < n/2; i++ {
-		zi, zo := p.cbuf[i], p.cbuf[n-1-i]
-		out0[2*i] = real(zi)
-		out0[2*i+1] = real(zo)
-		out1[2*i] = imag(zi)
-		out1[2*i+1] = imag(zo)
-	}
+// permutation. Outputs are strided as in DCT2PairTo, and ai and outi may
+// alias.
+func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64, stride int) {
+	p.invPairTo(a0, a1, out0, out1, stride, false)
 }
 
 // InvSinPairTo evaluates the sine series of two independent coefficient
 // lines with a single complex FFT: InvCosPairTo on the index-reversed
 // coefficients of both lines (folded into the spectrum construction, as
 // in InvSinTo) with the odd-output sign flip applied to both unpacked
-// lines. ai and outi may alias pairwise.
-func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64) {
-	n := p.n
-	if len(a0) != n || len(a1) != n || len(out0) != n || len(out1) != n {
-		panic("fft: transform size mismatch")
+// lines. Outputs are strided as in DCT2PairTo, and ai and outi may alias.
+func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64, stride int) {
+	p.invPairTo(a0, a1, out0, out1, stride, true)
+}
+
+// invPairTo is InvCosPairTo, or InvSinPairTo when sin is set. From N = 8
+// up it fuses like DCT2PairTo: each spectrum entry is built straight into
+// the first butterfly pass, and butterflies i and N/2−1−i of the last
+// stage produce Z[i], Z[N/2+i], Z[N/2−1−i] and Z[N−1−i], which are all
+// that outputs 2i, 2i+1, N−2−2i and N−1−2i read.
+func (p *Plan) invPairTo(a0, a1, out0, out1 []float64, stride int, sin bool) {
+	p.checkPair(a0, a1, out0, out1, stride)
+	n, c, rev := p.n, p.cbuf, p.rev
+	var z0 complex128 // the k = 0 term: zero for the sine series
+	if !sin {
+		z0 = complex(a0[0], a1[0])
 	}
 	if n == 1 {
-		out0[0], out1[0] = 0, 0
+		out0[0], out1[0] = real(z0), imag(z0)
 		return
 	}
-	rev := p.rev
-	p.cbuf[0] = 0
-	for k := 1; k < n; k++ {
-		p.cbuf[rev[k]] = p.untwiddle[k] * complex((a0[n-k]+a1[k])/2, (a1[n-k]-a0[k])/2)
+	if n < 8 {
+		c[0] = z0
+		for j := 1; j < n; j++ {
+			c[j] = p.invIn(a0, a1, rev[j], sin)
+		}
+		butterflies(c, p.invStage)
+		for i := 0; i < n/2; i++ {
+			invOut(out0, out1, 2*i*stride, stride, c[i], c[n-1-i], sin)
+		}
+		return
 	}
-	butterflies(p.cbuf, p.invStage)
-	for i := 0; i < n/2; i++ {
-		zi, zo := p.cbuf[i], p.cbuf[n-1-i]
-		out0[2*i] = real(zi)
-		out0[2*i+1] = -real(zo)
-		out1[2*i] = imag(zi)
-		out1[2*i+1] = -imag(zo)
+	w3 := p.invStage[3]
+	first4(c[0:4:4], z0, p.invIn(a0, a1, rev[1], sin), p.invIn(a0, a1, rev[2], sin),
+		p.invIn(a0, a1, rev[3], sin), w3)
+	for s := 4; s < n; s += 4 {
+		first4(c[s:s+4:s+4], p.invIn(a0, a1, rev[s], sin), p.invIn(a0, a1, rev[s+1], sin),
+			p.invIn(a0, a1, rev[s+2], sin), p.invIn(a0, a1, rev[s+3], sin), w3)
+	}
+	h := n / 2
+	radix2(c, p.invStage, 4, h)
+	w := p.invStage[h:n]
+	for i := 0; i < h/2; i++ {
+		j := h - 1 - i
+		zi, zih := last(c, w, i, h) // Z[i], Z[N/2+i]
+		zj, zjh := last(c, w, j, h) // Z[N/2−1−i], Z[N−1−i]
+		invOut(out0, out1, 2*i*stride, stride, zi, zjh, sin)
+		invOut(out0, out1, 2*j*stride, stride, zj, zih, sin)
 	}
 }
 
-// transposeTile is the edge of the square blocks the tiled transpose
-// moves at a time: 32×32 float64 tiles (8 KiB working set for the two
-// faces) keep both the row-major reads and the column-major writes inside
-// L1 instead of striding the full matrix.
-const transposeTile = 32
-
-// Transpose writes the transpose of the n×n row-major matrix src into dst
-// (dst[j*n+i] = src[i*n+j]). Cache-blocked in transposeTile×transposeTile
-// tiles so neither side of the copy strides the whole matrix. dst and src
-// must not overlap.
-func Transpose(dst, src []float64, n int) {
-	for i0 := 0; i0 < n; i0 += transposeTile {
-		i1 := min(i0+transposeTile, n)
-		for j0 := 0; j0 < n; j0 += transposeTile {
-			j1 := min(j0+transposeTile, n)
-			for i := i0; i < i1; i++ {
-				row := src[i*n : i*n+n]
-				for j := j0; j < j1; j++ {
-					dst[j*n+i] = row[j]
-				}
-			}
-		}
+// invIn returns the packed spectrum entry of frequency k ≥ 1:
+// V₀[k] + i·V₁[k] with Vj[k] = untwiddle[k]·(aj[k] − i·aj[N−k])/2, and
+// with k and N−k swapped in the coefficient reads for the sine series.
+func (p *Plan) invIn(a0, a1 []float64, k int, sin bool) complex128 {
+	ka, kb := k, p.n-k
+	if sin {
+		ka, kb = kb, ka
 	}
+	return p.untwiddle[k] * complex((a0[ka]+a1[kb])/2, (a1[ka]-a0[kb])/2)
+}
+
+// invOut stores outputs 2i and 2i+1 of both inverse lines, at offsets at
+// and at+stride, from zi = Z[i] and zo = Z[N−1−i]; the sine series flips
+// the odd output's sign.
+func invOut(out0, out1 []float64, at, stride int, zi, zo complex128, sin bool) {
+	ro, io := real(zo), imag(zo)
+	if sin {
+		ro, io = -ro, -io
+	}
+	out0[at], out0[at+stride] = real(zi), ro
+	out1[at], out1[at+stride] = imag(zi), io
 }
