@@ -483,23 +483,18 @@ func mutate(s *state, rng *rand.Rand, frozen []bool) {
 	}
 }
 
-// Place runs one simulated-annealing chain and returns the best legal
-// placement found.
-func Place(n *circuit.Netlist, opt Options) (*circuit.Placement, *Stats, error) {
-	return PlaceCtx(context.Background(), n, opt)
-}
-
 // cancelCheckEvery is the move cadence at which the annealing loop polls the
 // context: frequent enough that cancellation lands within milliseconds,
 // sparse enough that the per-move cost stays one integer test.
 const cancelCheckEvery = 256
 
-// PlaceCtx is Place honoring cancellation and deadlines: the move loop polls
-// ctx every cancelCheckEvery proposals and returns ctx.Err() when it fires.
-// A canceled run returns no partial placement, so results remain
-// deterministic: a run either completes identically to an uncanceled one or
-// fails with the context's error.
-func PlaceCtx(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Placement, *Stats, error) {
+// Place runs one simulated-annealing chain and returns the best legal
+// placement found. The move loop polls ctx every cancelCheckEvery
+// proposals and returns ctx.Err() when it fires. A canceled run returns no
+// partial placement, so results remain deterministic: a run either
+// completes identically to an uncanceled one or fails with the context's
+// error.
+func Place(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Placement, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

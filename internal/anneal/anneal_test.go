@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -52,7 +53,7 @@ func fastOpts() Options {
 
 func TestPlaceLegal(t *testing.T) {
 	n := symNetlist()
-	p, stats, err := Place(n, fastOpts())
+	p, stats, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestPlaceLegal(t *testing.T) {
 
 func TestPlaceDeterministic(t *testing.T) {
 	n := symNetlist()
-	p1, _, err := Place(n, fastOpts())
+	p1, _, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := Place(n, fastOpts())
+	p2, _, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,8 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedChangesResult(t *testing.T) {
 	n := symNetlist()
-	p1, _, _ := Place(n, Options{Seed: 1, Moves: 3000})
-	p2, _, _ := Place(n, Options{Seed: 99, Moves: 3000})
+	p1, _, _ := Place(context.Background(), n, Options{Seed: 1, Moves: 3000})
+	p2, _, _ := Place(context.Background(), n, Options{Seed: 99, Moves: 3000})
 	same := true
 	for i := range p1.X {
 		if p1.X[i] != p2.X[i] || p1.Y[i] != p2.Y[i] {
@@ -99,11 +100,11 @@ func TestPlaceSeedChangesResult(t *testing.T) {
 
 func TestMoreMovesNoWorse(t *testing.T) {
 	n := symNetlist()
-	_, sShort, err := Place(n, Options{Seed: 3, Moves: 300})
+	_, sShort, err := Place(context.Background(), n, Options{Seed: 3, Moves: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sLong, err := Place(n, Options{Seed: 3, Moves: 60000})
+	_, sLong, err := Place(context.Background(), n, Options{Seed: 3, Moves: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMoreMovesNoWorse(t *testing.T) {
 
 func TestSymmetryMaintainedExactly(t *testing.T) {
 	n := symNetlist()
-	p, _, err := Place(n, fastOpts())
+	p, _, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSymmetryMaintainedExactly(t *testing.T) {
 func TestBottomAlignMacro(t *testing.T) {
 	n := symNetlist()
 	n.BottomAlign = [][2]int{{5, 6}}
-	p, _, err := Place(n, fastOpts())
+	p, _, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestBottomAlignMacro(t *testing.T) {
 func TestVCenterAlignMacro(t *testing.T) {
 	n := symNetlist()
 	n.VCenterAlign = [][2]int{{5, 6}}
-	p, _, err := Place(n, fastOpts())
+	p, _, err := Place(context.Background(), n, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestVCenterAlignMacro(t *testing.T) {
 func TestOrderConstraintSatisfied(t *testing.T) {
 	n := symNetlist()
 	n.HOrders = [][]int{{5, 6}}
-	p, _, err := Place(n, Options{Seed: 2, Moves: 60000})
+	p, _, err := Place(context.Background(), n, Options{Seed: 2, Moves: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestOrderConstraintSatisfied(t *testing.T) {
 func TestOverlappingConstraintGroupsRejected(t *testing.T) {
 	n := symNetlist()
 	n.BottomAlign = [][2]int{{0, 5}} // device 0 is already in a symmetry island
-	if _, _, err := Place(n, fastOpts()); err == nil {
+	if _, _, err := Place(context.Background(), n, fastOpts()); err == nil {
 		t.Error("expected error for device in both symmetry group and align pair")
 	}
 }
@@ -190,7 +191,7 @@ func TestOverlappingConstraintGroupsRejected(t *testing.T) {
 func TestInvalidNetlistRejected(t *testing.T) {
 	n := symNetlist()
 	n.Devices[0].W = -1
-	if _, _, err := Place(n, fastOpts()); err == nil {
+	if _, _, err := Place(context.Background(), n, fastOpts()); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -200,7 +201,7 @@ func TestInvalidNetlistRejected(t *testing.T) {
 // relative to the conventional result.
 func TestPerfModelInfluences(t *testing.T) {
 	n := symNetlist()
-	conv, _, err := Place(n, Options{Seed: 4, Moves: 16000})
+	conv, _, err := Place(context.Background(), n, Options{Seed: 4, Moves: 16000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPerfModelInfluences(t *testing.T) {
 		bb := nl.BoundingBox(p)
 		return math.Min(bb.W()/40, 1) // dislikes wide layouts
 	})
-	perf, _, err := Place(n, Options{Seed: 4, Moves: 16000, Perf: pm, PerfWeight: 3})
+	perf, _, err := Place(context.Background(), n, Options{Seed: 4, Moves: 16000, Perf: pm, PerfWeight: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func (f perfFunc) Prob(n *circuit.Netlist, p *circuit.Placement) float64 { retur
 func BenchmarkPlaceSmall(b *testing.B) {
 	n := symNetlist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Place(n, Options{Seed: 1, Moves: 2000}); err != nil {
+		if _, _, err := Place(context.Background(), n, Options{Seed: 1, Moves: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -376,12 +376,12 @@ func (r *run) placePrev() error {
 		gpOpt.Warm = r.warm.gp(r.opt.WarmStart)
 	}
 	extra := perfExtra(r.opt.Perf, &gpOpt.ExtraWeight)
-	gp, err := prevwork.PlaceExtraCtx(r.ctx, r.n, gpOpt, extra)
+	gp, err := prevwork.Place(r.ctx, r.n, gpOpt, extra)
 	if err != nil {
 		return err
 	}
 	r.res.GPIterations = gp.Iterations
-	dp, err := detailed.PlaceCtx(r.ctx, r.n, gp.Placement, r.dpOptions(detailed.ModeTwoStageLP))
+	dp, err := detailed.Place(r.ctx, r.n, gp.Placement, r.dpOptions(detailed.ModeTwoStageLP))
 	if err != nil {
 		return err
 	}
@@ -461,11 +461,11 @@ func (r *run) placeEPlaceA() error {
 			perfTerm = &pt
 		}
 		extra := perfExtra(perfTerm, &gpOpt.ExtraWeight)
-		gp, err := eplacea.PlaceExtraCtx(r.ctx, r.n, gpOpt, extra)
+		gp, err := eplacea.Place(r.ctx, r.n, gpOpt, extra)
 		if err != nil {
 			return err
 		}
-		dp, err := detailed.PlaceCtx(r.ctx, r.n, gp.Placement, dpOpt)
+		dp, err := detailed.Place(r.ctx, r.n, gp.Placement, dpOpt)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package detailed
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -66,7 +67,7 @@ func TestChainedAlignmentStaysFeasible(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p := roughGP(n, seed)
 		for _, mode := range []Mode{ModeIntegratedILP, ModeTwoStageLP} {
-			res, err := Place(n, p, Options{Mode: mode})
+			res, err := Place(context.Background(), n, p, Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("seed %d mode %v: %v", seed, mode, err)
 			}
@@ -95,7 +96,7 @@ func TestManySelfSymmetricDevices(t *testing.T) {
 	p.X[0], p.Y[0] = 5, 5
 	p.X[1], p.Y[1] = 5.2, 5.1
 	p.X[2], p.Y[2] = 4.9, 5.2
-	res, err := Place(n, p, Options{Mode: ModeIntegratedILP})
+	res, err := Place(context.Background(), n, p, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}

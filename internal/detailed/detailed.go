@@ -53,9 +53,6 @@ type Options struct {
 	// Mu weights the area term in the integrated objective (Eq. 4a),
 	// default 1.0. Larger favors area over wirelength.
 	Mu float64
-	// Zeta is the chip-utilization factor defining the constant estimates
-	// W̃ = H̃ = sqrt(Σ areas / ζ) (default 1.0).
-	Zeta float64
 	// MaxNodes caps the branch-and-bound tree per axis (default 60).
 	MaxNodes int
 	// NoFlips disables the device-flipping binaries (used for ablation).
@@ -78,9 +75,6 @@ func (o *Options) defaults() {
 	if o.Mu == 0 {
 		o.Mu = 1.0
 	}
-	if o.Zeta == 0 {
-		o.Zeta = 1.0
-	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 60
 	}
@@ -95,19 +89,13 @@ type Result struct {
 	Area      float64 // exact bounding-box area, grid units²
 	HPWL      float64 // exact weighted HPWL, grid units
 	ILPNodes  int     // branch-and-bound nodes solved (integrated mode)
-	FlipsUsed int     // devices left flipped in either axis
 }
 
-// Place legalizes and detail-places the global-placement solution gp.
-func Place(n *circuit.Netlist, gp *circuit.Placement, opt Options) (*Result, error) {
-	return PlaceCtx(context.Background(), n, gp, opt)
-}
-
-// PlaceCtx is Place honoring cancellation and deadlines: the context is
-// polled between LP/ILP solves (the individual solves are short — dozens of
-// devices — so pass boundaries bound the cancellation latency), and a
-// canceled run returns ctx.Err() instead of a partial placement.
-func PlaceCtx(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, opt Options) (*Result, error) {
+// Place legalizes and detail-places the global-placement solution gp. The
+// context is polled between LP/ILP solves (the individual solves are short
+// — dozens of devices — so pass boundaries bound the cancellation latency),
+// and a canceled run returns ctx.Err() instead of a partial placement.
+func Place(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -139,7 +127,8 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, op
 			return nil, err
 		}
 	default:
-		tilde := math.Sqrt(n.TotalDeviceArea() / opt.Zeta)
+		// The constant estimates W̃ = H̃ = sqrt(Σ areas) of Eq. (4a).
+		tilde := math.Sqrt(n.TotalDeviceArea())
 		prevScore := math.Inf(1)
 		for iter := 0; iter < opt.Refinements; iter++ {
 			if err := ctx.Err(); err != nil {
@@ -187,18 +176,11 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, op
 	}
 
 	n.Normalize(out)
-	flips := 0
-	for i := range out.FlipX {
-		if out.FlipX[i] || out.FlipY[i] {
-			flips++
-		}
-	}
 	res := &Result{
 		Placement: out,
 		Area:      n.Area(out),
 		HPWL:      n.HPWL(out),
 		ILPNodes:  nodes,
-		FlipsUsed: flips,
 	}
 	if opt.Tracer.Enabled() {
 		opt.Tracer.Count("dp.runs", 1)
@@ -206,14 +188,6 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, gp *circuit.Placement, op
 		opt.Tracer.Gauge("dp.final_hpwl", res.HPWL)
 	}
 	return res, nil
-}
-
-// axisName labels telemetry events with the axis being solved.
-func axisName(kind axisKind) string {
-	if kind == axisX {
-		return "x"
-	}
-	return "y"
 }
 
 // refineName labels the integrated mode's refinement-pass spans.
@@ -250,31 +224,31 @@ func integratedAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
 
 	m := buildAxisModel(n, kind, gs, integratedSpec(opt, tilde))
 	if opt.NoFlips {
-		sol, err := lp.SolveTraced(m.prob, opt.Tracer, "integrated-"+axisName(kind))
+		sol, err := lp.SolveTraced(m.prob, opt.Tracer, "integrated-"+kind.String())
 		if err != nil {
 			return nil, m.solverErr("integrated", err)
 		}
 		if sol.Status != lp.Optimal {
 			return nil, m.infeasErr("integrated")
 		}
-		m.extract(sol.X, n, out)
+		m.extract(sol.X, out)
 		return &solvedAxis{m: m, basis: sol}, nil
 	}
 
 	// Warm start: default (mirror-consistent) flip assignment.
-	warm, err := lp.SolveTraced(m.withFixedFlips(warmFlips(n, kind)), opt.Tracer, "warm-start-"+axisName(kind))
+	warm, err := lp.SolveTraced(m.withFixedFlips(warmFlips(n, kind)), opt.Tracer, "warm-start-"+kind.String())
 	if err != nil {
 		return nil, m.solverErr("warm-start", err)
 	}
 	if warm.Status != lp.Optimal {
 		return nil, m.infeasErr("warm-start")
 	}
-	isol, err := ilp.Solve(&ilp.Problem{LP: m.prob, Ints: m.flipVar, Start: warm}, ilp.Options{
+	isol, err := ilp.Solve(&ilp.Problem{LP: m.prob, Ints: m.ints, Start: warm}, ilp.Options{
 		MaxNodes:     opt.MaxNodes,
 		Incumbent:    warm.X,
 		IncumbentObj: warm.Obj,
 		Tracer:       opt.Tracer,
-		Label:        "integrated-" + axisName(kind),
+		Label:        "integrated-" + kind.String(),
 	})
 	if err != nil {
 		return nil, m.solverErr("integrated", err)
@@ -282,7 +256,7 @@ func integratedAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
 	if isol.Status == ilp.Feasible {
 		opt.Tracer.Count("dp.ilp_node_cap", 1)
 	}
-	m.extract(isol.X, n, out)
+	m.extract(isol.X, out)
 	basis := isol.LP
 	if basis == nil {
 		basis = warm // the warm start was never improved on
@@ -304,18 +278,15 @@ func resolveCoords(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
 	} else {
 		m = buildAxisModel(n, kind, gs, integratedSpec(opt, tilde))
 	}
-	flips := out.FlipX
-	if kind == axisY {
-		flips = out.FlipY
-	}
-	sol, err := lp.Resolve(m.withFixedFlips(flips), from, opt.Tracer, "flip-fixed-"+axisName(kind))
+	_, flips := axisOf(out, kind)
+	sol, err := lp.Resolve(m.withFixedFlips(flips), from, opt.Tracer, "flip-fixed-"+kind.String())
 	if err != nil {
 		return m.solverErr("flip-fixed", err)
 	}
 	if sol.Status != lp.Optimal {
 		return m.infeasErr("flip-fixed")
 	}
-	m.extract(sol.X, n, out)
+	m.extract(sol.X, out)
 	return nil
 }
 
@@ -324,7 +295,7 @@ func resolveCoords(n *circuit.Netlist, kind axisKind, gs constraintGraphs,
 func twoStageAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs, tr *obs.Tracer, out *circuit.Placement) error {
 	// Stage 1: area compaction.
 	m1 := buildAxisModel(n, kind, gs, modelSpec{withExtent: true, extentObj: 1})
-	s1, err := lp.SolveTraced(m1.prob, tr, "compaction-"+axisName(kind))
+	s1, err := lp.SolveTraced(m1.prob, tr, "compaction-"+kind.String())
 	if err != nil {
 		return m1.solverErr("compaction", err)
 	}
@@ -339,13 +310,13 @@ func twoStageAxis(n *circuit.Netlist, kind axisKind, gs constraintGraphs, tr *ob
 		withExtent: true,
 		extentCap:  extent + 1e-9,
 	})
-	s2, err := lp.SolveTraced(m2.prob, tr, "wirelength-"+axisName(kind))
+	s2, err := lp.SolveTraced(m2.prob, tr, "wirelength-"+kind.String())
 	if err != nil {
 		return m2.solverErr("wirelength", err)
 	}
 	if s2.Status != lp.Optimal {
 		return m2.infeasErr("wirelength")
 	}
-	m2.extract(s2.X, n, out)
+	m2.extract(s2.X, out)
 	return nil
 }

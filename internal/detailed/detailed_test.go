@@ -1,6 +1,7 @@
 package detailed
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,10 +66,21 @@ func roughGP(n *circuit.Netlist, seed int64) *circuit.Placement {
 	return p
 }
 
+// flipsUsed counts the devices flipped in either axis.
+func flipsUsed(p *circuit.Placement) int {
+	flips := 0
+	for i := range p.FlipX {
+		if p.FlipX[i] || p.FlipY[i] {
+			flips++
+		}
+	}
+	return flips
+}
+
 func TestIntegratedLegal(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 1)
-	res, err := Place(n, gp, Options{Mode: ModeIntegratedILP})
+	res, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +99,7 @@ func TestNodeCapCounted(t *testing.T) {
 	n := testNetlist()
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
-	res, err := Place(n, roughGP(n, 1), Options{Mode: ModeIntegratedILP, MaxNodes: 1, Tracer: tr})
+	res, err := Place(context.Background(), n, roughGP(n, 1), Options{Mode: ModeIntegratedILP, MaxNodes: 1, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestNodeCapCounted(t *testing.T) {
 func TestTwoStageLegal(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 1)
-	res, err := Place(n, gp, Options{Mode: ModeTwoStageLP})
+	res, err := Place(context.Background(), n, gp, Options{Mode: ModeTwoStageLP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +141,18 @@ func TestTwoStageLegal(t *testing.T) {
 func TestFlippingHelps(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 2)
-	ilpRes, err := Place(n, gp, Options{Mode: ModeIntegratedILP})
+	ilpRes, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpRes, err := Place(n, gp, Options{Mode: ModeTwoStageLP})
+	lpRes, err := Place(context.Background(), n, gp, Options{Mode: ModeTwoStageLP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ilpRes.HPWL > lpRes.HPWL+1e-6 {
 		t.Errorf("integrated ILP HPWL %.3f worse than two-stage %.3f", ilpRes.HPWL, lpRes.HPWL)
 	}
-	if ilpRes.FlipsUsed == 0 {
+	if flipsUsed(ilpRes.Placement) == 0 {
 		t.Log("note: optimizer used no flips on this instance")
 	}
 }
@@ -148,18 +160,18 @@ func TestFlippingHelps(t *testing.T) {
 func TestNoFlipsOption(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 3)
-	res, err := Place(n, gp, Options{Mode: ModeIntegratedILP, NoFlips: true})
+	res, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP, NoFlips: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FlipsUsed != 0 {
-		t.Errorf("NoFlips placement used %d flips", res.FlipsUsed)
+	if f := flipsUsed(res.Placement); f != 0 {
+		t.Errorf("NoFlips placement used %d flips", f)
 	}
 	if rep := n.CheckLegal(res.Placement, 1e-6); !rep.OK() {
 		t.Fatalf("NoFlips DP illegal: %v", rep.Err())
 	}
 	// Flipping freedom can only help.
-	withFlips, err := Place(n, gp, Options{Mode: ModeIntegratedILP})
+	withFlips, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +185,7 @@ func TestOrderingRespected(t *testing.T) {
 	n.HOrders = [][]int{{5, 6, 8}}
 	gp := roughGP(n, 4)
 	for _, mode := range []Mode{ModeIntegratedILP, ModeTwoStageLP} {
-		res, err := Place(n, gp, Options{Mode: mode})
+		res, err := Place(context.Background(), n, gp, Options{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -189,7 +201,7 @@ func TestAlignmentsRespected(t *testing.T) {
 	n.VCenterAlign = [][2]int{{7, 8}}
 	gp := roughGP(n, 5)
 	for _, mode := range []Mode{ModeIntegratedILP, ModeTwoStageLP} {
-		res, err := Place(n, gp, Options{Mode: mode})
+		res, err := Place(context.Background(), n, gp, Options{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -202,11 +214,11 @@ func TestAlignmentsRespected(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 6)
-	r1, err := Place(n, gp, Options{Mode: ModeIntegratedILP})
+	r1, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Place(n, gp, Options{Mode: ModeIntegratedILP})
+	r2, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +232,11 @@ func TestDeterministic(t *testing.T) {
 func TestMuTradesAreaForWirelength(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 7)
-	small, err := Place(n, gp, Options{Mode: ModeIntegratedILP, Mu: 0.05})
+	small, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP, Mu: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Place(n, gp, Options{Mode: ModeIntegratedILP, Mu: 20})
+	large, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP, Mu: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +256,7 @@ func TestManyRandomGPsStayFeasible(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		gp := roughGP(n, 100+seed)
 		for _, mode := range []Mode{ModeIntegratedILP, ModeTwoStageLP} {
-			res, err := Place(n, gp, Options{Mode: mode})
+			res, err := Place(context.Background(), n, gp, Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("seed %d mode %v: %v", seed, mode, err)
 			}
@@ -338,12 +350,12 @@ func TestRejectsBadInput(t *testing.T) {
 	n := testNetlist()
 	gp := roughGP(n, 1)
 	gp.X = gp.X[:2]
-	if _, err := Place(n, gp, Options{}); err == nil {
+	if _, err := Place(context.Background(), n, gp, Options{}); err == nil {
 		t.Error("expected size-mismatch error")
 	}
 	n2 := testNetlist()
 	n2.Devices[0].W = 0
-	if _, err := Place(n2, roughGP(testNetlist(), 1), Options{}); err == nil {
+	if _, err := Place(context.Background(), n2, roughGP(testNetlist(), 1), Options{}); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -353,7 +365,7 @@ func BenchmarkIntegratedDP(b *testing.B) {
 	gp := roughGP(n, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Place(n, gp, Options{Mode: ModeIntegratedILP}); err != nil {
+		if _, err := Place(context.Background(), n, gp, Options{Mode: ModeIntegratedILP}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +376,7 @@ func BenchmarkTwoStageDP(b *testing.B) {
 	gp := roughGP(n, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Place(n, gp, Options{Mode: ModeTwoStageLP}); err != nil {
+		if _, err := Place(context.Background(), n, gp, Options{Mode: ModeTwoStageLP}); err != nil {
 			b.Fatal(err)
 		}
 	}

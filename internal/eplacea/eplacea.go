@@ -224,27 +224,12 @@ const (
 // value and accumulates its gradient.
 type ExtraGrad func(p *circuit.Placement, gradX, gradY []float64) float64
 
-// Place runs ePlace-A global placement on netlist n.
-func Place(n *circuit.Netlist, opt Options) (*Result, error) {
-	return PlaceExtra(n, opt, nil)
-}
-
-// PlaceExtra runs global placement with an optional extra objective term
-// (the performance-driven hook of ePlace-AP).
-func PlaceExtra(n *circuit.Netlist, opt Options, extra ExtraGrad) (*Result, error) {
-	return PlaceExtraCtx(context.Background(), n, opt, extra)
-}
-
-// PlaceCtx is Place honoring cancellation and deadlines via the Nesterov
-// callback-stop contract.
-func PlaceCtx(ctx context.Context, n *circuit.Netlist, opt Options) (*Result, error) {
-	return PlaceExtraCtx(ctx, n, opt, nil)
-}
-
-// PlaceExtraCtx is PlaceExtra honoring cancellation and deadlines: the
-// Nesterov progress callback polls ctx once per iteration and stops the
-// solve, and the run returns ctx.Err() instead of a partial placement.
-func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad) (*Result, error) {
+// Place runs ePlace-A global placement on netlist n, with an optional
+// extra objective term (the performance-driven hook of ePlace-AP; nil for
+// none). The Nesterov progress callback polls ctx once per iteration and
+// stops the solve, and a canceled run returns ctx.Err() instead of a
+// partial placement.
+func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

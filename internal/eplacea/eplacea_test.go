@@ -1,6 +1,7 @@
 package eplacea
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func testNetlist() *circuit.Netlist {
 
 func TestPlaceSpreadsDevices(t *testing.T) {
 	n := testNetlist()
-	res, err := Place(n, Options{Seed: 1})
+	res, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestPlaceSpreadsDevices(t *testing.T) {
 
 func TestPlaceDeterministic(t *testing.T) {
 	n := testNetlist()
-	r1, err := Place(n, Options{Seed: 7})
+	r1, err := Place(context.Background(), n, Options{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Place(n, Options{Seed: 7})
+	r2, err := Place(context.Background(), n, Options{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestSoftSymmetryApproximatelyHolds(t *testing.T) {
 	n := testNetlist()
-	res, err := Place(n, Options{Seed: 1})
+	res, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestSoftSymmetryApproximatelyHolds(t *testing.T) {
 
 func TestHardSymmetryTighterThanSoft(t *testing.T) {
 	n := testNetlist()
-	soft, err := Place(n, Options{Seed: 1})
+	soft, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Place(n, Options{Seed: 1, HardSym: true})
+	hard, err := Place(context.Background(), n, Options{Seed: 1, HardSym: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestHardSymmetryTighterThanSoft(t *testing.T) {
 
 func TestAreaTermShrinksBoundingBox(t *testing.T) {
 	n := testNetlist()
-	with, err := Place(n, Options{Seed: 1})
+	with, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Place(n, Options{Seed: 1, NoArea: true})
+	without, err := Place(context.Background(), n, Options{Seed: 1, NoArea: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestAreaTermShrinksBoundingBox(t *testing.T) {
 
 func TestDevicesInsideRegion(t *testing.T) {
 	n := testNetlist()
-	res, err := Place(n, Options{Seed: 3})
+	res, err := Place(context.Background(), n, Options{Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDevicesInsideRegion(t *testing.T) {
 func TestInvalidNetlistRejected(t *testing.T) {
 	n := testNetlist()
 	n.Nets[0].Pins[0].Device = 99
-	if _, err := Place(n, Options{Seed: 1}); err == nil {
+	if _, err := Place(context.Background(), n, Options{Seed: 1}, nil); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -213,14 +214,14 @@ func TestExtraGradHook(t *testing.T) {
 		gx[0] += 2 * p.X[0] * 10
 		return 10 * p.X[0] * p.X[0]
 	}
-	res, err := PlaceExtra(n, Options{Seed: 1}, extra)
+	res, err := Place(context.Background(), n, Options{Seed: 1}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !called {
 		t.Fatal("extra term never evaluated")
 	}
-	base, err := Place(n, Options{Seed: 1})
+	base, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func paperNetlist(t *testing.T, name string) *circuit.Netlist {
 func TestStallExit(t *testing.T) {
 	n := paperNetlist(t, "Adder")
 	opt := Options{Seed: 108, Util: 0.5, Lambda0: 1e-4, LambdaGrowth: 1.025, MaxIter: 1500}
-	res, err := Place(n, opt)
+	res, err := Place(context.Background(), n, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestStallExit(t *testing.T) {
 
 	// With a budget that runs out before the stall, the run is capped.
 	opt.MaxIter = 600
-	if res, err = Place(n, opt); err != nil {
+	if res, err = Place(context.Background(), n, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.Stop != Capped || res.Iterations != 600 {
@@ -291,7 +292,7 @@ func TestDefaultRunsConverge(t *testing.T) {
 		name  string
 		iters int
 	}{{"Adder", 220}, {"CC-OTA", 246}, {"VCO2", 260}, {"Comp1", 293}, {"VGA", 256}} {
-		res, err := Place(paperNetlist(t, tc.name), Options{Seed: 7})
+		res, err := Place(context.Background(), paperNetlist(t, tc.name), Options{Seed: 7}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +319,7 @@ func TestDivergedStopsAtLastFiniteIterate(t *testing.T) {
 		gx[0] += math.NaN()
 		return math.Inf(1)
 	}
-	res, err := PlaceExtra(n, Options{Seed: 1}, extra)
+	res, err := Place(context.Background(), n, Options{Seed: 1}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func BenchmarkGlobalPlace(b *testing.B) {
 	n := testNetlist()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Place(n, Options{Seed: 1}); err != nil {
+		if _, err := Place(context.Background(), n, Options{Seed: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

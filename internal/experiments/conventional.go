@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -203,14 +204,14 @@ func Table4(cfg Config) ([]Table4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		gp, err := eplacea.Place(c.Netlist, eplacea.Options{Seed: cfg.Seed})
+		gp, err := eplacea.Place(context.Background(), c.Netlist, eplacea.Options{Seed: cfg.Seed}, nil)
 		if err != nil {
 			return nil, err
 		}
 		row := Table4Row{Design: name}
 		for _, mode := range []detailed.Mode{detailed.ModeTwoStageLP, detailed.ModeIntegratedILP} {
 			start := time.Now()
-			dp, err := detailed.Place(c.Netlist, gp.Placement, detailed.Options{Mode: mode})
+			dp, err := detailed.Place(context.Background(), c.Netlist, gp.Placement, detailed.Options{Mode: mode})
 			if err != nil {
 				return nil, err
 			}

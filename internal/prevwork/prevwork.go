@@ -7,8 +7,9 @@
 // model, and no Nesterov solver. Its legalization/detailed placement is the
 // two-stage LP in package detailed (ModeTwoStageLP).
 //
-// PlaceExtra adds an arbitrary gradient term to the objective — the "Perf*"
-// performance-driven extension of [11] evaluated in Tables V and VII.
+// Place's extra argument adds an arbitrary gradient term to the objective —
+// the "Perf*" performance-driven extension of [11] evaluated in Tables V
+// and VII.
 package prevwork
 
 import (
@@ -25,12 +26,13 @@ import (
 	"repro/internal/wl"
 )
 
+// gridM is the bin grid dimension: m×m bins over the placement region.
+const gridM = 64
+
 // Options configures the NTUplace3-style global placement.
 type Options struct {
 	Seed int64
 
-	// GridM is the bin grid dimension (default 64).
-	GridM int
 	// Util sets the placement-region utilization (default 0.5).
 	Util float64
 	// SymWeight scales the soft symmetry penalty (default 0.4).
@@ -63,9 +65,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.GridM == 0 {
-		o.GridM = 64
-	}
 	if o.Util == 0 {
 		o.Util = 0.5
 	}
@@ -96,27 +95,11 @@ type Result struct {
 	Region     geom.Rect
 }
 
-// Place runs the [11]-style global placement.
-func Place(n *circuit.Netlist, opt Options) (*Result, error) {
-	return PlaceExtra(n, opt, nil)
-}
-
-// PlaceExtra runs global placement with an additional objective term (the
-// Perf* extension).
-func PlaceExtra(n *circuit.Netlist, opt Options, extra eplacea.ExtraGrad) (*Result, error) {
-	return PlaceExtraCtx(context.Background(), n, opt, extra)
-}
-
-// PlaceCtx is Place honoring cancellation and deadlines via the CG
-// callback-stop contract.
-func PlaceCtx(ctx context.Context, n *circuit.Netlist, opt Options) (*Result, error) {
-	return PlaceExtraCtx(ctx, n, opt, nil)
-}
-
-// PlaceExtraCtx is PlaceExtra honoring cancellation and deadlines: the CG
-// progress callback polls ctx once per iteration and stops the solve, and a
+// Place runs the [11]-style global placement, with an optional extra
+// objective term (the Perf* extension; nil for none). The CG progress
+// callback polls ctx once per iteration and stops the solve, and a
 // canceled run returns ctx.Err() instead of a partial placement.
-func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.ExtraGrad) (*Result, error) {
+func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.ExtraGrad) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -134,8 +117,8 @@ func PlaceExtraCtx(ctx context.Context, n *circuit.Netlist, opt Options, extra e
 	// NTUplace3 — no spectral solve, so unlike eplacea it gets nothing
 	// from density's packed-FFT Poisson pipeline; its per-iteration cost
 	// is rasterization and gradient sampling only.
-	bell := density.NewBell(opt.GridM, region, 1.0)
-	binW := side / float64(opt.GridM)
+	bell := density.NewBell(gridM, region, 1.0)
+	binW := side / float64(gridM)
 
 	wlEv := wl.NewEvaluator(n, wl.LSE, 4*binW)
 	wlEv.Tracer = opt.Tracer

@@ -1,6 +1,7 @@
 package prevwork
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -43,7 +44,7 @@ func testNetlist() *circuit.Netlist {
 
 func TestPlaceRuns(t *testing.T) {
 	n := testNetlist()
-	res, err := Place(n, Options{Seed: 1})
+	res, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestPlaceRuns(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	n := testNetlist()
-	r1, err := Place(n, Options{Seed: 5})
+	r1, err := Place(context.Background(), n, Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Place(n, Options{Seed: 5})
+	r2, err := Place(context.Background(), n, Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestDeterminism(t *testing.T) {
 
 func TestFullFlowWithTwoStageLP(t *testing.T) {
 	n := testNetlist()
-	gp, err := Place(n, Options{Seed: 1})
+	gp, err := Place(context.Background(), n, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := detailed.Place(n, gp.Placement, detailed.Options{Mode: detailed.ModeTwoStageLP})
+	dp, err := detailed.Place(context.Background(), n, gp.Placement, detailed.Options{Mode: detailed.ModeTwoStageLP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFullFlowWithTwoStageLP(t *testing.T) {
 
 func TestExtraTermInfluences(t *testing.T) {
 	n := testNetlist()
-	base, err := Place(n, Options{Seed: 2})
+	base, err := Place(context.Background(), n, Options{Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestExtraTermInfluences(t *testing.T) {
 		gx[8] += 50 * 2 * p.X[8]
 		return 50 * p.X[8] * p.X[8]
 	}
-	pulled, err := PlaceExtra(n, Options{Seed: 2}, extra)
+	pulled, err := Place(context.Background(), n, Options{Seed: 2}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestExtraTermInfluences(t *testing.T) {
 func TestInvalidNetlistRejected(t *testing.T) {
 	n := testNetlist()
 	n.Devices[0].H = -2
-	if _, err := Place(n, Options{Seed: 1}); err == nil {
+	if _, err := Place(context.Background(), n, Options{Seed: 1}, nil); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -124,7 +125,7 @@ func BenchmarkPrevGlobalPlace(b *testing.B) {
 	n := testNetlist()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Place(n, Options{Seed: 1}); err != nil {
+		if _, err := Place(context.Background(), n, Options{Seed: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 		if o.Tracer == nil {
 			o.Tracer = popt.Tracer
 		}
-		return anneal.PlaceCtx(ctx, n, o)
+		return anneal.Place(ctx, n, o)
 	}
 
 	span := popt.Tracer.StartSpan("sa")
@@ -100,7 +100,7 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 		o.Tracer = nil
 		o.TraceEvery = 0
 		o.Seed = saOpt.Seed + chainSeedStride*int64(c)
-		p, st, err := anneal.PlaceCtx(ctx, n, o)
+		p, st, err := anneal.Place(ctx, n, o)
 		results[c] = chainResult{place: p, stats: st, err: err}
 	})
 	for c := range results {

@@ -9,6 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
+// windowSize is the number of devices per window before symmetry closure.
+// Windows are consecutive runs of a row-major sweep of the current
+// placement, expanded with symmetry-pair partners, so symmetric structures
+// are re-solved together.
+const windowSize = 8
+
 // Options configures the ILP large-neighborhood refinement pass.
 type Options struct {
 	// Windows is the total window-solve budget across all passes. 0 means
@@ -16,14 +22,6 @@ type Options struct {
 	// iteration count, never wall-clock, so refinement cost — and result —
 	// is deterministic.
 	Windows int
-	// WindowSize is the number of devices per window before symmetry
-	// closure (default 8). Windows are consecutive runs of a row-major
-	// sweep of the current placement, expanded with symmetry-pair
-	// partners, so symmetric structures are re-solved together.
-	WindowSize int
-	// MaxNodes caps branch-and-bound nodes per axis per window
-	// (default 64).
-	MaxNodes int
 
 	// Focus, when non-nil, restricts the sweep to windows containing at
 	// least one marked device (indexed by device). The warm-start (ECO)
@@ -43,10 +41,6 @@ type Stats struct {
 	Windows int // window solves executed
 	Accepts int // windows whose exact re-solve improved the placement
 	Nodes   int // branch-and-bound LP nodes across all windows
-	// HPWLBefore/HPWLAfter are the weighted wirelength entering and
-	// leaving the stage; After ≤ Before always (accept-if-improved).
-	HPWLBefore float64
-	HPWLAfter  float64
 }
 
 // Refine improves a legal placement by exact ILP re-solves of small device
@@ -56,7 +50,7 @@ type Stats struct {
 // metric. The input placement is never mutated — on success, cancellation,
 // or error, p is untouched and the returned placement is a fresh value.
 //
-// Passes sweep the placement row-major in windows of WindowSize devices,
+// Passes sweep the placement row-major in windows of windowSize devices,
 // staggered by half a window on alternate passes so device groups split by
 // one pass's window boundaries are re-solved together by the next.
 // Refinement stops when the window budget is exhausted, a full pass
@@ -65,10 +59,6 @@ type Stats struct {
 func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt Options) (*circuit.Placement, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	size := opt.WindowSize
-	if size <= 0 {
-		size = 8
 	}
 	budget := opt.Windows
 	if budget <= 0 {
@@ -81,7 +71,7 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 				}
 			}
 		}
-		budget = 2 * (scope/size + 2)
+		budget = 2 * (scope/windowSize + 2)
 	}
 
 	span := opt.Tracer.StartSpan("refine")
@@ -89,11 +79,8 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 
 	work := p.Clone()
 	n.Normalize(work)
-	stats := &Stats{HPWLBefore: n.HPWL(work)}
-	ws := detailed.NewWindowSolver(n, detailed.WindowOptions{
-		MaxNodes: opt.MaxNodes,
-		Tracer:   opt.Tracer,
-	})
+	stats := &Stats{}
+	ws := detailed.NewWindowSolver(n, opt.Tracer)
 
 	// Bound passes defensively; in practice the no-accept exit fires much
 	// earlier because accepted improvements dry up after a few sweeps.
@@ -106,7 +93,7 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 		// start; re-derive it each pass so devices can migrate further.
 		ws.Rederive(work)
 		accepts := 0
-		for _, win := range schedule(n, work, size, pass, opt.Focus) {
+		for _, win := range schedule(n, work, pass, opt.Focus) {
 			if stats.Windows >= budget {
 				break
 			}
@@ -131,23 +118,22 @@ func Refine(ctx context.Context, n *circuit.Netlist, p *circuit.Placement, opt O
 		}
 	}
 	n.Normalize(work)
-	stats.HPWLAfter = n.HPWL(work)
 	if opt.Tracer.Enabled() {
 		opt.Tracer.Count("refine.windows", float64(stats.Windows))
 		opt.Tracer.Count("refine.accepts", float64(stats.Accepts))
 		opt.Tracer.Count("refine.ilp_nodes", float64(stats.Nodes))
-		opt.Tracer.Gauge("refine.hpwl", stats.HPWLAfter)
+		opt.Tracer.Gauge("refine.hpwl", n.HPWL(work))
 	}
 	return work, stats, nil
 }
 
 // schedule returns the deterministic window list for one pass: device
 // indices sorted by (y, x, index) — a row-major sweep of the current
-// placement — cut into WindowSize chunks (odd passes staggered by half a
+// placement — cut into windowSize chunks (odd passes staggered by half a
 // window), each chunk closed over symmetry-pair partners so mirrored
 // devices move together with their axis.
 // A non-nil focus mask drops windows whose devices are all unmarked.
-func schedule(n *circuit.Netlist, p *circuit.Placement, size, pass int, focus []bool) [][]int {
+func schedule(n *circuit.Netlist, p *circuit.Placement, pass int, focus []bool) [][]int {
 	nd := len(n.Devices)
 	order := make([]int, nd)
 	for i := range order {
@@ -172,11 +158,11 @@ func schedule(n *circuit.Netlist, p *circuit.Placement, size, pass int, focus []
 	}
 	start := 0
 	if pass%2 == 1 {
-		start = -size / 2 // leading half-window staggers the cut points
+		start = -windowSize / 2 // leading half-window staggers the cut points
 	}
 	var wins [][]int
-	for lo := start; lo < nd; lo += size {
-		a, b := lo, lo+size
+	for lo := start; lo < nd; lo += windowSize {
+		a, b := lo, lo+windowSize
 		if a < 0 {
 			a = 0
 		}
