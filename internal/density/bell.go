@@ -22,55 +22,32 @@ type Bell struct {
 	dens  []float64 // smoothed area per bin
 	cNorm []float64 // per-device normalization so total spread equals area
 
+	// Bounding box of the bins the last Update wrote, as half-open bin
+	// ranges [x0, x1) × [y0, y1); empty when x0 ≥ x1. Every bin outside
+	// it holds 0, which never exceeds the target, so Penalty scans only
+	// the box and the next Update clears only the span of dens from the
+	// box's first bin to its last.
+	x0, x1, y0, y1 int
+
 	// Per-axis kernel tables of the last Update, flat over devices:
 	// device i's entries are xTaps[xOff[i]:xOff[i+1]] and
 	// yTaps[yOff[i]:yOff[i+1]].
 	xTaps, yTaps []tap
 	xOff, yOff   []int
+	cx           []float64 // scratch: one device's c·p_x per x-tap
 }
 
 // NewBell creates an m×m bell-shaped density grid over region with the
 // given target density ratio (typically ~1 for macro-style analog
 // placement).
 func NewBell(m int, region geom.Rect, target float64) *Bell {
-	b := &Bell{
+	return &Bell{
 		m:      m,
+		region: region,
+		binW:   region.W() / float64(m),
+		binH:   region.H() / float64(m),
 		target: target,
 		dens:   make([]float64, m*m),
-	}
-	b.SetRegion(region)
-	return b
-}
-
-// SetRegion re-targets the grid onto a new placement region.
-func (b *Bell) SetRegion(region geom.Rect) {
-	b.region = region
-	b.binW = region.W() / float64(b.m)
-	b.binH = region.H() / float64(b.m)
-}
-
-// bell evaluates the C¹ bell kernel for half-width w2 (= device dim / 2)
-// and bin size r at center distance d, plus its derivative with respect to
-// d. The kernel is 1 at d = 0, rolls off quadratically, and reaches zero
-// with zero slope at d = w2 + 2r (NTUplace3's px function).
-func bell(d, w2, r float64) (val, deriv float64) {
-	d1 := w2 + r
-	d2 := w2 + 2*r
-	ad := math.Abs(d)
-	sign := 1.0
-	if d < 0 {
-		sign = -1
-	}
-	switch {
-	case ad <= d1:
-		a := 1 / (d1 * d2)
-		return 1 - a*ad*ad, -2 * a * ad * sign
-	case ad <= d2:
-		bb := 1 / (r * d2)
-		t := ad - d2
-		return bb * t * t, 2 * bb * t * sign
-	default:
-		return 0, 0
 	}
 }
 
@@ -81,8 +58,8 @@ func bell(d, w2, r float64) (val, deriv float64) {
 // instead of one kernel evaluation per (b_x, b_y) bin.
 func (b *Bell) Update(n *circuit.Netlist, p *circuit.Placement) {
 	m := b.m
-	for i := range b.dens {
-		b.dens[i] = 0
+	if b.x0 < b.x1 {
+		clear(b.dens[b.y0*m+b.x0 : (b.y1-1)*m+b.x1])
 	}
 	nd := len(n.Devices)
 	if len(b.cNorm) != nd {
@@ -112,13 +89,32 @@ func (b *Bell) Update(n *circuit.Netlist, p *circuit.Placement) {
 		}
 		b.cNorm[i] = d.Area() / sum
 		c := b.cNorm[i]
+		// c·p_x·p_y evaluates as (c·p_x)·p_y, so the product per x-tap is
+		// hoisted out of the row loop without changing a bit.
+		cx := b.cx[:0]
+		for _, tx := range xs {
+			cx = append(cx, c*tx.val)
+		}
+		b.cx = cx
 		for _, ty := range ys {
 			row := b.dens[ty.bin*m : (ty.bin+1)*m]
-			for _, tx := range xs {
-				row[tx.bin] += c * tx.val * ty.val
+			for k, tx := range xs[:len(cx)] {
+				row[tx.bin] += cx[k] * ty.val
 			}
 		}
 	}
+	// The box of the bins written above: clamped tap bins never decrease
+	// along an axis, so a device spans its first tap bin to its last.
+	x0, x1, y0, y1 := m, 0, m, 0
+	for i, c := range b.cNorm {
+		if c == 0 {
+			continue
+		}
+		xs, ys := b.taps(i)
+		x0, x1 = min(x0, xs[0].bin), max(x1, xs[len(xs)-1].bin+1)
+		y0, y1 = min(y0, ys[0].bin), max(y1, ys[len(ys)-1].bin+1)
+	}
+	b.x0, b.x1, b.y0, b.y1 = x0, x1, y0, y1
 }
 
 // tap is one nonzero entry of a device's per-axis kernel table: the bin
@@ -141,13 +137,35 @@ func (b *Bell) taps(i int) (xs, ys []tap) {
 // center), so the region boundary piles up density and repels devices
 // instead of silently swallowing their mass — without this, boundaries act
 // as density sinks and the placement drifts into a wall.
+//
+// The kernel (NTUplace3's px function) has half-width half and bin size r:
+// with d1 = half + r and d2 = half + 2r, it is 1 − a·d² for |d| ≤ d1 and
+// b·(|d| − d2)² for d1 < |d| ≤ d2, where a = 1/(d1·d2) and b = 1/(r·d2).
+// It is 1 at d = 0 and reaches zero with zero slope at |d| = d2; der is
+// its derivative with respect to d. The two reciprocals are computed once
+// per device axis.
 func (b *Bell) appendTaps(dst []tap, c, half, lo, r float64) []tap {
-	supp := half + 2*r
-	k0 := int(math.Floor((c - supp - lo) / r))
-	k1 := int(math.Ceil((c + supp - lo) / r))
+	d1 := half + r
+	d2 := half + 2*r
+	ka := 1 / (d1 * d2)
+	kb := 1 / (r * d2)
+	k0 := int(math.Floor((c - d2 - lo) / r))
+	k1 := int(math.Ceil((c + d2 - lo) / r))
 	for k := k0; k < k1; k++ {
-		bc := lo + (float64(k)+0.5)*r
-		v, dv := bell(bc-c, half, r)
+		d := lo + (float64(k)+0.5)*r - c
+		ad := math.Abs(d)
+		sign := 1.0
+		if d < 0 {
+			sign = -1
+		}
+		var v, dv float64
+		switch {
+		case ad <= d1:
+			v, dv = 1-ka*ad*ad, -2*ka*ad*sign
+		case ad <= d2:
+			t := ad - d2
+			v, dv = kb*t*t, 2*kb*t*sign
+		}
 		if v == 0 {
 			continue
 		}
@@ -167,10 +185,12 @@ func (b *Bell) appendTaps(dst []tap, c, half, lo, r float64) []tap {
 func (b *Bell) Penalty() float64 {
 	t := b.target * b.binW * b.binH
 	var s float64
-	for _, d := range b.dens {
-		if d > t {
-			e := d - t
-			s += e * e
+	for y := b.y0; y < b.y1; y++ {
+		for _, d := range b.dens[y*b.m+b.x0 : y*b.m+b.x1] {
+			if d > t {
+				e := d - t
+				s += e * e
+			}
 		}
 	}
 	return s
@@ -205,21 +225,4 @@ func (b *Bell) AddGrad(gradX, gradY []float64) {
 		gradX[i] += gx
 		gradY[i] += gy
 	}
-}
-
-// Overflow returns the fraction of total device area sitting in bins above
-// the target density, mirroring Electrostatic.Overflow for stop criteria.
-func (b *Bell) Overflow(n *circuit.Netlist) float64 {
-	t := b.target * b.binW * b.binH
-	var over float64
-	for _, d := range b.dens {
-		if d > t {
-			over += d - t
-		}
-	}
-	total := n.TotalDeviceArea()
-	if total == 0 {
-		return 0
-	}
-	return over / total
 }

@@ -10,6 +10,31 @@ import (
 	"repro/internal/geom"
 )
 
+// bell evaluates the C¹ bell kernel for half-width w2 (= device dim / 2)
+// and bin size r at center distance d, plus its derivative with respect to
+// d. The kernel is 1 at d = 0, rolls off quadratically, and reaches zero
+// with zero slope at d = w2 + 2r (NTUplace3's px function).
+func bell(d, w2, r float64) (val, deriv float64) {
+	d1 := w2 + r
+	d2 := w2 + 2*r
+	ad := math.Abs(d)
+	sign := 1.0
+	if d < 0 {
+		sign = -1
+	}
+	switch {
+	case ad <= d1:
+		a := 1 / (d1 * d2)
+		return 1 - a*ad*ad, -2 * a * ad * sign
+	case ad <= d2:
+		bb := 1 / (r * d2)
+		t := ad - d2
+		return bb * t * t, 2 * bb * t * sign
+	default:
+		return 0, 0
+	}
+}
+
 // refBell is the per-bin form of the bell model that the separable kernel
 // tables replaced: every (b_x, b_y) bin of a device's support re-evaluates
 // both axis kernels through a visitor closure, once for the normalization

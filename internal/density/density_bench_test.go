@@ -70,10 +70,11 @@ func BenchmarkUpdateFull(b *testing.B) {
 	}
 }
 
-// BenchmarkBell measures one bell-model objective evaluation as prevwork's
-// conjugate-gradient GP makes it — Update, Penalty and AddGrad — on
-// gen:48@49 at the m=64 grid the prev placer runs, with the devices spread
-// over the middle of the region as in mid-solve iterations.
+// BenchmarkBell measures the bell model's work at one accepted step of
+// prevwork's conjugate-gradient GP (Update, Penalty and AddGrad; a
+// rejected line-search trial skips AddGrad) on gen:48@49 at the m=64 grid
+// the prev placer runs, with the devices spread over the middle of the
+// region as in mid-solve iterations.
 func BenchmarkBell(b *testing.B) {
 	n, region := bellBenchNetlist(b)
 	p := circuit.NewPlacement(n)

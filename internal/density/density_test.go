@@ -153,6 +153,20 @@ func TestElectrostaticClampsOutsideDevices(t *testing.T) {
 	}
 }
 
+// Region returns the placement region the grid covers.
+func (g *Electrostatic) Region() geom.Rect { return g.region }
+
+// M returns the grid dimension (bins per side).
+func (g *Electrostatic) M() int { return g.m }
+
+// Rho returns the density value of bin (x, y) from the last Update.
+func (g *Electrostatic) Rho(x, y int) float64 { return g.rho[y*g.m+x] }
+
+// Field returns the (ξx, ξy) field of bin (x, y) from the last Update.
+func (g *Electrostatic) Field(x, y int) (float64, float64) {
+	return g.ex[y*g.m+x], g.ey[y*g.m+x]
+}
+
 func TestElectrostaticAccessors(t *testing.T) {
 	g := NewElectrostatic(32, region())
 	if g.M() != 32 {
@@ -161,9 +175,9 @@ func TestElectrostaticAccessors(t *testing.T) {
 	if g.Region() != region() {
 		t.Errorf("Region = %v", g.Region())
 	}
-	g.SetRegion(geom.RectWH(0, 0, 128, 128))
+	g.setRegion(geom.RectWH(0, 0, 128, 128))
 	if g.Region().W() != 128 {
-		t.Errorf("SetRegion not applied")
+		t.Errorf("setRegion not applied")
 	}
 }
 
@@ -284,6 +298,23 @@ func TestBellGradientFiniteDifference(t *testing.T) {
 	}
 	// Restore state for later assertions (none currently).
 	eval()
+}
+
+// Overflow returns the fraction of total device area sitting in bins above
+// the target density from the last Update.
+func (b *Bell) Overflow(n *circuit.Netlist) float64 {
+	t := b.target * b.binW * b.binH
+	var over float64
+	for _, d := range b.dens {
+		if d > t {
+			over += d - t
+		}
+	}
+	total := n.TotalDeviceArea()
+	if total == 0 {
+		return 0
+	}
+	return over / total
 }
 
 func TestBellOverflowOrdering(t *testing.T) {

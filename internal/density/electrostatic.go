@@ -32,7 +32,7 @@ const devGrain = 32
 // every pass packs two real grid lines into one complex FFT (fft's
 // *PairTo transforms), the passes that change direction write their
 // outputs down grid columns instead of transposing, the spectral scaling
-// reads one precomputed per-frequency table (rebuilt only on SetRegion),
+// reads one precomputed per-frequency table (built once, by setRegion),
 // and the ξx and ξy coefficients are row scalings of the ψ coefficients
 // rather than grids of their own.
 //
@@ -66,7 +66,7 @@ type Electrostatic struct {
 	xOv, yOv   []overlap
 	xOff, yOff []int
 
-	// Frequency tables, rebuilt by SetRegion only: wu[u] = πu/(m·binW),
+	// Frequency tables, built by setRegion: wu[u] = πu/(m·binW),
 	// wv[v] = πv/(m·binH), and scaleTab[u*m+v] — the DCT normalization
 	// (2/m)² with the α₀ = ½ edge factors folded into 1/(wu²+wv²), zero at
 	// the DC term. One table lookup replaces the per-element trig, division
@@ -109,13 +109,13 @@ func NewElectrostatic(m int, region geom.Rect) *Electrostatic {
 		wvTab:    make([]float64, m),
 		scaleTab: make([]float64, m*m),
 	}
-	g.SetRegion(region)
+	g.setRegion(region)
 	return g
 }
 
-// SetRegion re-targets the grid onto a new placement region and rebuilds
-// the frequency tables the spectral scaling reads.
-func (g *Electrostatic) SetRegion(region geom.Rect) {
+// setRegion targets the grid onto a placement region and builds the
+// frequency tables the spectral scaling reads.
+func (g *Electrostatic) setRegion(region geom.Rect) {
 	g.region = region
 	m := g.m
 	g.binW = region.W() / float64(m)
@@ -152,12 +152,6 @@ func (g *Electrostatic) SetRegion(region geom.Rect) {
 	}
 	g.scaleTab[0] = 0
 }
-
-// Region returns the placement region the grid covers.
-func (g *Electrostatic) Region() geom.Rect { return g.region }
-
-// M returns the grid dimension (bins per side).
-func (g *Electrostatic) M() int { return g.m }
 
 // inflated returns the rasterization rectangle and charge-density scale for
 // device i: devices narrower than a bin are inflated to one bin in that
@@ -332,7 +326,7 @@ func (g *Electrostatic) rasterize(lo, hi int, dst []float64) {
 // Mean neutralization is implicit: subtracting the mean density only
 // changes the (0,0) DCT term, and scaleTab zeroes exactly that term, so
 // no explicit neutralization sweep is needed. The DCT normalization and
-// Poisson kernel are likewise one fused table multiply (see SetRegion).
+// Poisson kernel are likewise one fused table multiply (see setRegion).
 func (g *Electrostatic) solve() {
 	m := g.m
 	plan := g.plan
@@ -453,13 +447,4 @@ func (g *Electrostatic) Overflow(n *circuit.Netlist, targetDensity float64) floa
 		return 0
 	}
 	return over / total
-}
-
-// Rho returns the density value of bin (x, y) from the last Update
-// (exported for diagnostics and tests).
-func (g *Electrostatic) Rho(x, y int) float64 { return g.rho[y*g.m+x] }
-
-// Field returns the (ξx, ξy) field of bin (x, y) from the last Update.
-func (g *Electrostatic) Field(x, y int) (float64, float64) {
-	return g.ex[y*g.m+x], g.ey[y*g.m+x]
 }

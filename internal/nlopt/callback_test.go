@@ -71,7 +71,7 @@ func TestCGCallbackStops(t *testing.T) {
 	obj := illQuadratic(10)
 
 	xFree := make([]float64, 10)
-	_, freeIters := CG(obj, xFree, CGOptions{MaxIter: 400, GradTol: 1e-10})
+	_, freeIters := cg(obj, xFree, CGOptions{MaxIter: 400, GradTol: 1e-10})
 	if freeIters <= stopAt+1 {
 		t.Fatalf("baseline converged in %d iters; need > %d for the stop test to be meaningful", freeIters, stopAt+1)
 	}
@@ -80,7 +80,7 @@ func TestCGCallbackStops(t *testing.T) {
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	x := make([]float64, 10)
-	_, iters := CG(obj, x, CGOptions{
+	_, iters := cg(obj, x, CGOptions{
 		MaxIter: 400, GradTol: 1e-10,
 		Tracer: tr,
 		Callback: func(iter int, x []float64, f float64) bool {

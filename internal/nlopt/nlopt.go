@@ -184,10 +184,16 @@ func (o *CGOptions) defaults() {
 	}
 }
 
-// CG minimizes obj from x (updated in place) with Polak–Ribière+ conjugate
+// CG minimizes f from x (updated in place) with Polak–Ribière+ conjugate
 // gradient and Armijo backtracking line search. It returns the final
 // objective value and iterations run.
-func CG(obj Objective, x []float64, opt CGOptions) (float64, int) {
+//
+// The objective comes in two parts so that a rejected line-search trial
+// costs only its value: value(x) returns f(x) and keeps whatever the
+// gradient needs, and grad(g) writes ∇f into g at the point of the last
+// value call. CG calls grad once at the start and once per accepted step,
+// right after the value call at that step.
+func CG(value func(x []float64) float64, grad func(g []float64), x []float64, opt CGOptions) (float64, int) {
 	opt.defaults()
 	n := len(x)
 	g := make([]float64, n)
@@ -195,7 +201,8 @@ func CG(obj Objective, x []float64, opt CGOptions) (float64, int) {
 	d := make([]float64, n)
 	trial := make([]float64, n)
 
-	f := obj(x, g)
+	f := value(x)
+	grad(g)
 	for i := 0; i < n; i++ {
 		d[i] = -g[i]
 	}
@@ -225,7 +232,7 @@ func CG(obj Objective, x []float64, opt CGOptions) (float64, int) {
 			for i := 0; i < n; i++ {
 				trial[i] = x[i] + alpha*d[i]
 			}
-			fNew = obj(trial, gNew)
+			fNew = value(trial)
 			if fNew <= f+c1*alpha*slope {
 				accepted = true
 				break
@@ -235,6 +242,7 @@ func CG(obj Objective, x []float64, opt CGOptions) (float64, int) {
 		if !accepted {
 			break
 		}
+		grad(gNew)
 		copy(x, trial)
 		// PR+ beta.
 		var num, den float64
@@ -300,11 +308,4 @@ func (a *Adam) Step(params, grad []float64) {
 		vHat := a.v[i] / b2t
 		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 	}
-}
-
-// Reset clears the optimizer's moment estimates.
-func (a *Adam) Reset() {
-	a.m = nil
-	a.v = nil
-	a.t = 0
 }

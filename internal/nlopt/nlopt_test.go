@@ -19,6 +19,61 @@ func quadratic(lambda, c []float64) Objective {
 	}
 }
 
+// rosenbrock is f(a, b) = (1 − a)² + 100·(b − a²)², minimum 0 at (1, 1).
+func rosenbrock(x, grad []float64) float64 {
+	a, b := x[0], x[1]
+	grad[0] = -2*(1-a) - 400*a*(b-a*a)
+	grad[1] = 200 * (b - a*a)
+	return (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
+}
+
+// logSumExp returns the smooth non-quadratic convex objective
+// f(x) = log(Σ e^{x_i}) + ½‖x − c‖².
+func logSumExp(c []float64) Objective {
+	return func(x, grad []float64) float64 {
+		maxX := x[0]
+		for _, v := range x[1:] {
+			maxX = math.Max(maxX, v)
+		}
+		var s float64
+		for _, v := range x {
+			s += math.Exp(v - maxX)
+		}
+		f := maxX + math.Log(s)
+		for i := range x {
+			grad[i] = math.Exp(x[i]-maxX)/s + (x[i] - c[i])
+			d := x[i] - c[i]
+			f += 0.5 * d * d
+		}
+		return f
+	}
+}
+
+// cgCalls counts the objective calls CG makes through split.
+type cgCalls struct{ value, grad int }
+
+// split adapts a combined objective of dimension n to CG's two-part form:
+// value evaluates obj and keeps its gradient, and grad copies that out.
+func split(obj Objective, n int) (value func([]float64) float64, grad func([]float64), calls *cgCalls) {
+	calls = &cgCalls{}
+	last := make([]float64, n)
+	value = func(x []float64) float64 {
+		calls.value++
+		return obj(x, last)
+	}
+	grad = func(g []float64) {
+		calls.grad++
+		copy(g, last)
+	}
+	return value, grad, calls
+}
+
+// cg runs CG on a combined objective through split.
+func cg(obj Objective, x []float64, opt CGOptions) (float64, int) {
+	value, grad, _ := split(obj, len(x))
+	return CG(value, grad, x, opt)
+}
+
 func TestNesterovQuadratic(t *testing.T) {
 	lambda := []float64{1, 10, 100}
 	c := []float64{3, -2, 0.5}
@@ -37,24 +92,7 @@ func TestNesterovQuadratic(t *testing.T) {
 // TestNesterovLogSumExp checks convergence on a smooth non-quadratic convex
 // function: f(x) = log(Σ e^{x_i}) + ½‖x − c‖².
 func TestNesterovLogSumExp(t *testing.T) {
-	c := []float64{1, -2, 0.5, 3}
-	obj := func(x, grad []float64) float64 {
-		maxX := x[0]
-		for _, v := range x[1:] {
-			maxX = math.Max(maxX, v)
-		}
-		var s float64
-		for _, v := range x {
-			s += math.Exp(v - maxX)
-		}
-		f := maxX + math.Log(s)
-		for i := range x {
-			grad[i] = math.Exp(x[i]-maxX)/s + (x[i] - c[i])
-			d := x[i] - c[i]
-			f += 0.5 * d * d
-		}
-		return f
-	}
+	obj := logSumExp([]float64{1, -2, 0.5, 3})
 	x := make([]float64, 4)
 	_, _ = Nesterov(obj, x, NesterovOptions{MaxIter: 5000, InitStep: 0.01, GradTol: 1e-9})
 	// Verify stationarity at the solution.
@@ -83,7 +121,7 @@ func TestCGQuadratic(t *testing.T) {
 	lambda := []float64{1, 50, 200}
 	c := []float64{-1, 4, 2}
 	x := []float64{10, 10, 10}
-	f, _ := CG(quadratic(lambda, c), x, CGOptions{MaxIter: 500, GradTol: 1e-10})
+	f, _ := cg(quadratic(lambda, c), x, CGOptions{MaxIter: 500, GradTol: 1e-10})
 	for i := range x {
 		if math.Abs(x[i]-c[i]) > 1e-5 {
 			t.Errorf("x[%d] = %g, want %g (f=%g)", i, x[i], c[i], f)
@@ -92,14 +130,8 @@ func TestCGQuadratic(t *testing.T) {
 }
 
 func TestCGRosenbrock(t *testing.T) {
-	rosen := func(x, grad []float64) float64 {
-		a, b := x[0], x[1]
-		grad[0] = -2*(1-a) - 400*a*(b-a*a)
-		grad[1] = 200 * (b - a*a)
-		return (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
-	}
 	x := []float64{-1.2, 1}
-	f, _ := CG(rosen, x, CGOptions{MaxIter: 5000, GradTol: 1e-9})
+	f, _ := cg(rosenbrock, x, CGOptions{MaxIter: 5000, GradTol: 1e-9})
 	if f > 1e-6 {
 		t.Errorf("Rosenbrock f = %g at %v", f, x)
 	}
@@ -118,7 +150,7 @@ func TestCGMonotoneDecrease(t *testing.T) {
 		x[i] = rng.NormFloat64() * 3
 	}
 	prev := math.Inf(1)
-	CG(quadratic(lambda, c), x, CGOptions{
+	cg(quadratic(lambda, c), x, CGOptions{
 		MaxIter: 200,
 		Callback: func(iter int, x []float64, f float64) bool {
 			if f > prev+1e-12 {
@@ -144,6 +176,13 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 			t.Errorf("params[%d] = %g, want ~0", i, p)
 		}
 	}
+}
+
+// Reset clears the optimizer's moment estimates.
+func (a *Adam) Reset() {
+	a.m = nil
+	a.v = nil
+	a.t = 0
 }
 
 func TestAdamReset(t *testing.T) {

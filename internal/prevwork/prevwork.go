@@ -209,7 +209,16 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 		alpha = opt.ExtraWeight * wlNorm / exNorm
 	}
 
-	objective := func(x, grad []float64) float64 {
+	// The objective is split for CG: value computes f and stashes each
+	// term's gradient (wirelength in gx/gy, symmetry in sgx/sgy, extra in
+	// egx/egy), and grad, which CG calls only at accepted steps, adds the
+	// bell gradient and sums the terms in the order of f.
+	var egx, egy []float64
+	if extra != nil {
+		egx = make([]float64, nd)
+		egy = make([]float64, nd)
+	}
+	value := func(x []float64) float64 {
 		copy(p.X, x[:nd])
 		copy(p.Y, x[nd:])
 		zero(gx)
@@ -218,22 +227,11 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 
 		bellUpdate(p)
 		f += beta * bell.Penalty()
-		zero(sgx)
-		zero(sgy)
-		bellAddGrad(sgx, sgy)
-		for i := 0; i < nd; i++ {
-			gx[i] += beta * sgx[i]
-			gy[i] += beta * sgy[i]
-		}
 
 		if len(n.SymGroups) > 0 {
 			zero(sgx)
 			zero(sgy)
 			f += tau * eplacea.SymPenalty(n, p, sgx, sgy)
-			for i := 0; i < nd; i++ {
-				gx[i] += tau * sgx[i]
-				gy[i] += tau * sgy[i]
-			}
 		}
 		if anchorW > 0 {
 			w := opt.Warm
@@ -245,23 +243,46 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 				dx := p.X[i] - w.X[i]
 				dy := p.Y[i] - w.Y[i]
 				av += dx*dx + dy*dy
-				gx[i] += anchorW * 2 * dx
-				gy[i] += anchorW * 2 * dy
 			}
 			f += anchorW * av
 		}
 		if extra != nil {
-			zero(sgx)
-			zero(sgy)
-			f += alpha * extra(p, sgx, sgy)
+			zero(egx)
+			zero(egy)
+			f += alpha * extra(p, egx, egy)
+		}
+		return f
+	}
+	grad := func(g []float64) {
+		ggx, ggy := g[:nd], g[nd:]
+		zero(g)
+		bellAddGrad(ggx, ggy)
+		for i := 0; i < nd; i++ {
+			ggx[i] = gx[i] + beta*ggx[i]
+			ggy[i] = gy[i] + beta*ggy[i]
+		}
+		if len(n.SymGroups) > 0 {
 			for i := 0; i < nd; i++ {
-				gx[i] += alpha * sgx[i]
-				gy[i] += alpha * sgy[i]
+				ggx[i] += tau * sgx[i]
+				ggy[i] += tau * sgy[i]
 			}
 		}
-		copy(grad[:nd], gx)
-		copy(grad[nd:], gy)
-		return f
+		if anchorW > 0 {
+			w := opt.Warm
+			for i := 0; i < nd; i++ {
+				if !w.Anchored[i] {
+					continue
+				}
+				ggx[i] += anchorW * 2 * (p.X[i] - w.X[i])
+				ggy[i] += anchorW * 2 * (p.Y[i] - w.Y[i])
+			}
+		}
+		if extra != nil {
+			for i := 0; i < nd; i++ {
+				ggx[i] += alpha * egx[i]
+				ggy[i] += alpha * egy[i]
+			}
+		}
 	}
 
 	x := make([]float64, 2*nd)
@@ -271,7 +292,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	totalIters := 0
 	done := ctx.Done()
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		fEpoch, it := nlopt.CG(objective, x, nlopt.CGOptions{
+		fEpoch, it := nlopt.CG(value, grad, x, nlopt.CGOptions{
 			MaxIter:  opt.ItersPerEpoch,
 			GradTol:  1e-7,
 			InitStep: binW,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/detailed"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 func testNetlist() *circuit.Netlist {
@@ -110,6 +111,29 @@ func TestExtraTermInfluences(t *testing.T) {
 	}
 	if pulled.Placement.X[8] > base.Placement.X[8]+1e-9 {
 		t.Errorf("extra term had no effect: %.2f vs %.2f", pulled.Placement.X[8], base.Placement.X[8])
+	}
+}
+
+// TestBellGradientOnlyAtAcceptedSteps checks that CG's rejected Armijo
+// trials cost no bell gradient: density_grad runs once at calibration,
+// once per epoch start and once per accepted step, while density_raster
+// runs at every objective value, rejected trials included.
+func TestBellGradientOnlyAtAcceptedSteps(t *testing.T) {
+	tr := obs.New(&obs.MemorySink{})
+	const epochs = 14
+	if _, err := Place(context.Background(), testNetlist(), Options{Seed: 1, Epochs: epochs, Tracer: tr}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sum := tr.Summary()
+	grads := sum.Kernels["density_grad"].Count
+	rasters := sum.Kernels["density_raster"].Count
+	iters := int(sum.Counters["prev.iterations"])
+	if want := iters + epochs + 1; grads != want {
+		t.Errorf("density_grad ran %d times, want %d (%d accepted steps, %d epoch starts, 1 calibration)",
+			grads, want, iters, epochs)
+	}
+	if rasters <= grads {
+		t.Errorf("density_raster ran %d times, density_grad %d; want more rasters than gradients", rasters, grads)
 	}
 }
 

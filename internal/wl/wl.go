@@ -108,9 +108,6 @@ func NewEvaluator(n *circuit.Netlist, kind Smoother, gamma float64) *Evaluator {
 	}
 }
 
-// Gamma returns the current smoothing parameter.
-func (ev *Evaluator) Gamma() float64 { return ev.gamma }
-
 // SetGamma updates the smoothing parameter (ePlace anneals gamma downward
 // as density overflow shrinks).
 func (ev *Evaluator) SetGamma(g float64) { ev.gamma = g }

@@ -179,6 +179,9 @@ func TestAreaGradientFiniteDifference(t *testing.T) {
 	})
 }
 
+// Gamma returns the current smoothing parameter.
+func (ev *Evaluator) Gamma() float64 { return ev.gamma }
+
 func TestGammaAccessors(t *testing.T) {
 	n, _ := randomNetlist(rand.New(rand.NewSource(8)), 3, 1)
 	ev := NewEvaluator(n, WA, 2.0)
