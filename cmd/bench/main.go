@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/netio"
@@ -53,14 +52,10 @@ func main() {
 
 		chains = flag.Int("chains", 0, "SA portfolio width: independent parallel chains, best kept (0 = per-mode default; QoR is thread-count invariant)")
 
-		eco          = flag.Bool("eco", false, "also measure incremental (ECO) re-placement: each generated case gets a grown variant, solved cold and warm-started from the base placement")
-		ecoEdit      = flag.Int("eco-edit", 0, "device count added by the ECO edit (default 12)")
-		warmStart    = flag.String("warm-start", "", "placement JSON warm-starting every run (single explicit -netlist case; incompatible with -eco)")
-		warmBase     = flag.String("warm-base", "", "netlist the -warm-start placement was solved for (file, built-in, or gen: spec; default: the benchmarked netlist)")
-		anchorWeight = flag.Float64("anchor-weight", 0, "warm-start anchor pseudonet starting weight (0 = default 0.3)")
-		anchorGrowth = flag.Float64("anchor-growth", 0, "warm-start anchor weight growth per iteration (0 = default 1.03)")
-		refineOn     = flag.Bool("refine", false, "append the ILP large-neighborhood refinement stage to every method (never worsens QoR)")
-		refineWin    = flag.Int("refine-windows", 0, "refinement window budget (0 = about two sweeps)")
+		eco       = flag.Bool("eco", false, "also measure incremental (ECO) re-placement: each generated case gets a grown variant, solved cold and warm-started from the base placement")
+		ecoEdit   = flag.Int("eco-edit", 0, "device count added by the ECO edit (default 12)")
+		refineOn  = flag.Bool("refine", false, "append the ILP large-neighborhood refinement stage to every method (never worsens QoR)")
+		refineWin = flag.Int("refine-windows", 0, "refinement window budget (0 = about two sweeps)")
 	)
 	flag.Parse()
 	opt := bench.Options{
@@ -74,36 +69,20 @@ func main() {
 		Refine:        *refineOn,
 		RefineWindows: *refineWin,
 		ECO:           *eco,
-		AnchorWeight:  *anchorWeight,
-		AnchorGrowth:  *anchorGrowth,
 	}
 	if err := run(*suite, *sizes, *netlists, *methods, *label, *outDir, *baseline, opt,
-		*rtTol, *qorTol, *timeout, *quiet, *ecoEdit, *warmStart, *warmBase); err != nil {
+		*rtTol, *qorTol, *timeout, *quiet, *ecoEdit); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(suite, sizes, netlists, methods, label, outDir, baseline string,
 	opt bench.Options, rtTol, qorTol float64,
-	timeout time.Duration, quiet bool, ecoEdit int, warmStart, warmBase string) error {
+	timeout time.Duration, quiet bool, ecoEdit int) error {
 
 	cases, suiteName, err := resolveCases(suite, sizes, netlists, opt.Seed, opt.Quick, opt.ECO, ecoEdit)
 	if err != nil {
 		return err
-	}
-	if warmStart != "" {
-		if opt.ECO {
-			return fmt.Errorf("-warm-start and -eco are mutually exclusive (-eco derives its own warm starts)")
-		}
-		if len(cases) != 1 {
-			return fmt.Errorf("-warm-start needs exactly one case (got %d); use a single -netlist entry", len(cases))
-		}
-		opt.Warm, err = loadWarmStart(cases[0].Netlist, warmStart, warmBase, opt.AnchorWeight, opt.AnchorGrowth)
-		if err != nil {
-			return err
-		}
-	} else if warmBase != "" {
-		return fmt.Errorf("-warm-base needs -warm-start")
 	}
 
 	if opt.TraceDir != "" {
@@ -201,7 +180,7 @@ func resolveCases(suite, sizes, netlists string, seed int64, quick, eco bool, ec
 			if f == "" {
 				continue
 			}
-			n, err := resolveOne(f)
+			n, err := netio.Resolve(f)
 			if err != nil {
 				return nil, "", err
 			}
@@ -256,41 +235,6 @@ func resolveCases(suite, sizes, netlists string, seed int64, quick, eco bool, ec
 		cases = append(cases, in)
 	}
 	return cases, suiteName, nil
-}
-
-// loadWarmStart reads a -warm-start placement document and resolves it
-// against the warm base netlist (default: the benchmarked netlist itself).
-func loadWarmStart(n *circuit.Netlist, warmStart, warmBase string, aw, ag float64) (*core.WarmStart, error) {
-	f, err := os.Open(warmStart)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	doc, err := circuit.ReadPlacementDoc(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", warmStart, err)
-	}
-	base := n
-	if warmBase != "" {
-		if base, err = netio.Resolve(warmBase); err != nil {
-			return nil, err
-		}
-	}
-	prior, err := netio.PlacementForNetlistStrict(base, doc)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", warmStart, err)
-	}
-	ws := &core.WarmStart{Placement: prior, AnchorWeight: aw, AnchorGrowth: ag}
-	if warmBase != "" {
-		ws.Base = base
-	}
-	return ws, nil
-}
-
-// resolveOne loads one -netlist entry: a path if the file exists, else a
-// built-in name or generator spec.
-func resolveOne(entry string) (*circuit.Netlist, error) {
-	return netio.Resolve(entry)
 }
 
 // caseName labels a -netlist case: the netlist's own name when it has one,

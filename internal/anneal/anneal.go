@@ -42,13 +42,10 @@ type Options struct {
 	PerfWeight float64
 
 	// Tracer, when non-nil, wraps the run in an "sa" span and emits one
-	// progress sample every TraceEvery proposals: temperature, windowed
-	// acceptance rate, current and best cost. Nil costs one pointer check
-	// per move.
+	// progress sample every Moves/200 proposals (at least every proposal):
+	// temperature, windowed acceptance rate, current and best cost. Nil
+	// costs one pointer check per move.
 	Tracer *obs.Tracer
-	// TraceEvery is the sampling cadence in proposals (default Moves/200,
-	// at least 1).
-	TraceEvery int
 
 	// Warm, when non-nil, seeds the annealer from a prior placement (the
 	// ECO analogue of the analytical placers' anchor pseudonets): the
@@ -97,12 +94,6 @@ func (o *Options) defaults(n int) {
 	}
 	if o.AreaWeight == 0 && o.WLWeight == 0 {
 		o.AreaWeight, o.WLWeight = 0.5, 0.5
-	}
-	if o.TraceEvery == 0 {
-		o.TraceEvery = o.Moves / 200
-		if o.TraceEvery < 1 {
-			o.TraceEvery = 1
-		}
 	}
 }
 
@@ -556,6 +547,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Place
 	alpha := math.Pow(tf/t0, 1/float64(opt.Moves))
 
 	temp := t0
+	traceEvery := max(opt.Moves/200, 1) // proposals per progress sample
 	winProposals, winAccepts := 0, 0
 	for move := 0; move < opt.Moves; move++ {
 		if move%cancelCheckEvery == 0 {
@@ -581,7 +573,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Place
 			}
 		}
 		temp *= alpha
-		if opt.Tracer != nil && (move+1)%opt.TraceEvery == 0 {
+		if opt.Tracer != nil && (move+1)%traceEvery == 0 {
 			opt.Tracer.SAEvent(obs.SARecord{
 				Move: move + 1, Temp: temp,
 				AcceptRate: float64(winAccepts) / float64(winProposals),

@@ -186,11 +186,6 @@ type WarmStart struct {
 	// anchor_weight_increase schedule.
 	AnchorWeight float64
 	AnchorGrowth float64
-
-	// Radius and MaxFanout tune the perturbed-region diff; see
-	// netio.DiffOptions.
-	Radius    int
-	MaxFanout int
 }
 
 // Result is the outcome of a full placement flow.
@@ -769,7 +764,7 @@ func buildWarmPlan(n *circuit.Netlist, ws *WarmStart) (*warmPlan, error) {
 	if err := base.CheckSized(ws.Placement); err != nil {
 		return nil, fmt.Errorf("core: warm-start placement does not fit its base netlist: %w", err)
 	}
-	d := netio.DiffNetlists(base, n, netio.DiffOptions{Radius: ws.Radius, MaxFanout: ws.MaxFanout})
+	d := netio.DiffNetlists(base, n, netio.DiffOptions{})
 
 	nd := len(n.Devices)
 	w := &warmPlan{

@@ -159,8 +159,7 @@ func TestDegenerateThresholdRejected(t *testing.T) {
 // TestSolverOwnedDefaults pins the defaults the solvers own rather than
 // core: each zero-valued knob places byte-identically to its resolved
 // value (rows with want), and a warm SA run anneals max(Moves/3, 2000)
-// proposals of an explicit move budget (rows with proposals). The edit
-// grows a netlist with rails wider than the diff's default fanout bound.
+// proposals of an explicit move budget (rows with proposals).
 func TestSolverOwnedDefaults(t *testing.T) {
 	base := gen.Params{Seed: 9, Devices: 48}
 	n := gen.MustGenerate(base)
@@ -169,8 +168,8 @@ func TestSolverOwnedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := func(fanout int) *WarmStart {
-		return &WarmStart{Base: n, Placement: prior.Placement, MaxFanout: fanout}
+	warm := func() *WarmStart {
+		return &WarmStart{Base: n, Placement: prior.Placement}
 	}
 	fewIters := func(epochs int) *prevwork.Options {
 		return &prevwork.Options{Epochs: epochs, ItersPerEpoch: 25}
@@ -190,23 +189,20 @@ func TestSolverOwnedDefaults(t *testing.T) {
 			opt:  Options{Seed: 2, SA: fastSA(2)},
 			want: &Options{Seed: 2, SA: fastSA(2), Chains: 2}},
 		{name: "sa warm chains 0 = 1", method: MethodSA,
-			opt:  Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0)},
-			want: &Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0), Chains: 1}},
+			opt:  Options{Seed: 2, SA: fastSA(2), WarmStart: warm()},
+			want: &Options{Seed: 2, SA: fastSA(2), WarmStart: warm(), Chains: 1}},
 		{name: "sa warm moves 9000 -> 3000", method: MethodSA,
-			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 9000}, WarmStart: warm(0)},
+			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 9000}, WarmStart: warm()},
 			proposals: 3000},
 		{name: "sa warm moves 3000 -> 2000", method: MethodSA,
-			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 3000}, WarmStart: warm(0)},
+			opt:       Options{Seed: 2, SA: &anneal.Options{Moves: 3000}, WarmStart: warm()},
 			proposals: 2000},
-		{name: "warm fanout 0 = 10", method: MethodSA,
-			opt:  Options{Seed: 2, SA: fastSA(2), WarmStart: warm(0)},
-			want: &Options{Seed: 2, SA: fastSA(2), WarmStart: warm(10)}},
 		{name: "prev warm epochs 0 = 7", method: MethodPrev,
-			opt:  Options{Seed: 2, Prev: fewIters(0), WarmStart: warm(0)},
-			want: &Options{Seed: 2, Prev: fewIters(7), WarmStart: warm(0)}},
+			opt:  Options{Seed: 2, Prev: fewIters(0), WarmStart: warm()},
+			want: &Options{Seed: 2, Prev: fewIters(7), WarmStart: warm()}},
 		{name: "eplace-a warm iterations 0 = 350", method: MethodEPlaceA,
-			opt:  Options{Seed: 2, GP: toCap(0), WarmStart: warm(0)},
-			want: &Options{Seed: 2, GP: toCap(350), WarmStart: warm(0)}},
+			opt:  Options{Seed: 2, GP: toCap(0), WarmStart: warm()},
+			want: &Options{Seed: 2, GP: toCap(350), WarmStart: warm()}},
 	}
 	render := func(res *Result) []byte {
 		var buf bytes.Buffer

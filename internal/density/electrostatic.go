@@ -87,12 +87,10 @@ type overlap struct {
 	ov  float64
 }
 
-// NewElectrostatic creates an m×m electrostatic grid (m a power of two,
-// at least 2) covering region.
+// NewElectrostatic creates an m×m electrostatic grid covering region. m
+// must be a power of two of at least 8, the sizes fft.NewPlan accepts; it
+// panics otherwise.
 func NewElectrostatic(m int, region geom.Rect) *Electrostatic {
-	if m < 2 {
-		panic("density: electrostatic grid needs m ≥ 2")
-	}
 	g := &Electrostatic{
 		m:        m,
 		plan:     fft.NewPlan(m),

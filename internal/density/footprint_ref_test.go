@@ -175,9 +175,7 @@ func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, n := range refTrialNets(t) {
 		region := refTrialRegion(n)
-		grids := map[string]*Electrostatic{
-			"inline": NewElectrostatic(m, region),
-		}
+		g := NewElectrostatic(m, region)
 		ref := NewElectrostatic(m, region)
 		nd := len(n.Devices)
 		p := circuit.NewPlacement(n)
@@ -192,33 +190,31 @@ func TestElectrostaticMatchesPerBinReference(t *testing.T) {
 			rx := append([]float64(nil), g0...)
 			ry := append([]float64(nil), g0...)
 			refAddGrad(ref, n, p, rx, ry)
-			for mode, g := range grids {
-				g.Update(n, p)
-				for _, f := range []struct {
-					name      string
-					got, want []float64
-				}{
-					{"rho", g.rho, ref.rho},
-					{"ex", g.ex, ref.ex},
-					{"ey", g.ey, ref.ey},
-				} {
-					if k := bitsDiffer(f.got, f.want); k >= 0 {
-						t.Fatalf("%s %s trial %d: %s[%d] = %v, reference %v",
-							n.Name, mode, trial, f.name, k, f.got[k], f.want[k])
-					}
+			g.Update(n, p)
+			for _, f := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"rho", g.rho, ref.rho},
+				{"ex", g.ex, ref.ex},
+				{"ey", g.ey, ref.ey},
+			} {
+				if k := bitsDiffer(f.got, f.want); k >= 0 {
+					t.Fatalf("%s trial %d: %s[%d] = %v, reference %v",
+						n.Name, trial, f.name, k, f.got[k], f.want[k])
 				}
-				if got, want := g.Energy(), ref.Energy(); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %s trial %d: Energy = %v, reference %v", n.Name, mode, trial, got, want)
-				}
-				gx := append([]float64(nil), g0...)
-				gy := append([]float64(nil), g0...)
-				g.AddGrad(gx, gy)
-				if k := bitsDiffer(gx, rx); k >= 0 {
-					t.Fatalf("%s %s trial %d: gradX[%d] = %v, reference %v", n.Name, mode, trial, k, gx[k], rx[k])
-				}
-				if k := bitsDiffer(gy, ry); k >= 0 {
-					t.Fatalf("%s %s trial %d: gradY[%d] = %v, reference %v", n.Name, mode, trial, k, gy[k], ry[k])
-				}
+			}
+			if got, want := g.Energy(), ref.Energy(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s trial %d: Energy = %v, reference %v", n.Name, trial, got, want)
+			}
+			gx := append([]float64(nil), g0...)
+			gy := append([]float64(nil), g0...)
+			g.AddGrad(gx, gy)
+			if k := bitsDiffer(gx, rx); k >= 0 {
+				t.Fatalf("%s trial %d: gradX[%d] = %v, reference %v", n.Name, trial, k, gx[k], rx[k])
+			}
+			if k := bitsDiffer(gy, ry); k >= 0 {
+				t.Fatalf("%s trial %d: gradY[%d] = %v, reference %v", n.Name, trial, k, gy[k], ry[k])
 			}
 		}
 	}

@@ -37,9 +37,6 @@ type Options struct {
 	// (distinguishes "default" from "explicitly zero").
 	NoArea bool
 
-	// SymWeight scales the symmetry penalty τ relative to the wirelength
-	// gradient (default 0.4).
-	SymWeight float64
 	// HardSym switches the Table I ablation: enforce symmetry from the
 	// first iteration with a rigid (1000×) penalty instead of the soft,
 	// gradually increasing one.
@@ -149,9 +146,6 @@ func (o *Options) defaults() {
 	if o.NoArea {
 		o.AreaWeight = 0
 	}
-	if o.SymWeight == 0 {
-		o.SymWeight = 0.4
-	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 900
 		if o.Warm != nil {
@@ -204,6 +198,10 @@ const (
 // gridM is the density grid dimension: m×m bins over the placement
 // region.
 const gridM = 32
+
+// symWeight scales the symmetry penalty τ relative to the wirelength
+// gradient.
+const symWeight = 0.4
 
 // The stall exit. A run whose overflow has stopped falling only trades
 // wirelength for nothing: λ keeps growing, the density force pins the
@@ -435,7 +433,7 @@ func (st *solveState) calibrate() {
 	if symNorm < 1e-12 {
 		symNorm = wlNorm // no symmetry constraints: weight is irrelevant
 	}
-	st.tau = st.opt.SymWeight * wlNorm / symNorm
+	st.tau = symWeight * wlNorm / symNorm
 	if st.opt.HardSym {
 		st.tau *= 1000
 	}

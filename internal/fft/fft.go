@@ -1,12 +1,12 @@
 // Package fft provides the spectral transforms behind ePlace-style
-// electrostatic placement: an iterative radix-2 complex FFT, an FFT-based
-// forward DCT-II, and the inverse cosine/sine reconstructions used to
-// evaluate the electrostatic field ξ from frequency-domain Poisson
-// coefficients. Every trig transform is O(N log N): the forward
-// DCT-II uses the Makhoul even-odd permutation and one length-N FFT, the
-// inverse cosine series inverts that recombination with one length-N IFFT,
-// and the sine series reduces to the cosine series by index reversal
-// (see the derivation on InvCosTo/InvSinTo).
+// electrostatic placement: the forward DCT-II that decomposes the charge
+// density, and the inverse cosine and sine series that evaluate the
+// electrostatic field ξ from frequency-domain Poisson coefficients. There
+// is one method per transform, and each runs on two real lines at once:
+// the lines pack into one complex radix-2 FFT, so a pair costs O(N log N).
+// The forward DCT-II uses the Makhoul even-odd permutation, the inverse
+// cosine series inverts that recombination, and the sine series reduces
+// to the cosine series by index reversal (DESIGN.md §9 derives all three).
 package fft
 
 import (
@@ -16,9 +16,9 @@ import (
 	"math/cmplx"
 )
 
-// Plan holds precomputed tables and the staging buffer for 1-D trig
-// transforms of a fixed size N (a power of two). Its transforms share the
-// buffer, so a Plan is not safe for concurrent use.
+// Plan holds precomputed tables and the staging buffer for the pair
+// transforms of a fixed size N, a power of two of at least 8. Its
+// transforms share the buffer, so a Plan is not safe for concurrent use.
 type Plan struct {
 	n         int
 	rev       []int        // bit-reversal permutation of 0..N-1
@@ -30,10 +30,13 @@ type Plan struct {
 	cbuf      []complex128 // FFT staging buffer, filled in bit-reversed order
 }
 
-// NewPlan builds a plan for transforms of length n (power of two).
+// NewPlan builds a plan for transforms of length n. It panics unless n is
+// a power of two of at least 8: the transforms run the size-2 and size-4
+// butterflies fused over blocks of four and then unpack the last radix-2
+// stage, which must be a stage of its own.
 func NewPlan(n int) *Plan {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("fft: plan size %d is not a positive power of two", n))
+	if n < 8 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("fft: plan size %d is not a power of two of at least 8", n))
 	}
 	p := &Plan{
 		n:         n,
@@ -87,32 +90,6 @@ func stageTables(n int) (fwd, inv []complex128) {
 	return fwd, inv
 }
 
-// butterflies runs the radix-2 decimation-in-time stages of an unscaled
-// FFT over x, whose input the caller has already stored in bit-reversed
-// order, with tw a plan's per-stage twiddles (fwdStage or invStage).
-// len(x) must be the plan's N.
-//
-// The arithmetic is that of the textbook in-place loop: each butterfly
-// computes a ± b·w with Go's complex multiply, b on the left, and the k = 0
-// butterfly of every block skips its multiply by w = 1. The stages of size
-// 2 and 4 run fused, one pass over each block of four (first4).
-func butterflies(x, tw []complex128) {
-	n := len(x)
-	if n < 4 {
-		if n == 2 {
-			a, b := x[0], x[1]
-			x[0], x[1] = a+b, a-b
-		}
-		return
-	}
-	w3 := tw[3]
-	for s := 0; s+4 <= len(x); s += 4 {
-		q := x[s : s+4 : s+4]
-		first4(q, q[0], q[1], q[2], q[3], w3)
-	}
-	radix2(x, tw, 4, n)
-}
-
 // first4 runs the size-2 and size-4 butterflies of one block of four
 // inputs x0…x3, taken in bit-reversed order, and stores the block in q.
 // Their twiddles are w = 1 except w3 = tw[3] = e^{∓iπ/2}, whose real part
@@ -162,100 +139,6 @@ func last(x, w []complex128, k, h int) (complex128, complex128) {
 	return a + b, a - b
 }
 
-// N returns the plan's transform length.
-func (p *Plan) N() int { return p.n }
-
-// DCT2To computes the unnormalized DCT-II
-//
-//	out[k] = Σ_{n} x[n]·cos(πk(2n+1)/(2N))
-//
-// using the Makhoul even-odd permutation and a single length-N FFT.
-// x and out may alias.
-func (p *Plan) DCT2To(x, out []float64) {
-	n := p.n
-	if len(x) != n || len(out) != n {
-		panic("fft: DCT2 size mismatch")
-	}
-	for j, i := range p.src {
-		p.cbuf[j] = complex(x[i], 0)
-	}
-	butterflies(p.cbuf, p.fwdStage)
-	for k := 0; k < n; k++ {
-		out[k] = real(p.twiddle[k] * p.cbuf[k])
-	}
-}
-
-// InvCosTo evaluates the cosine series
-//
-//	out[j] = Σ_{k=0}^{N-1} a[k]·cos(πk(2j+1)/(2N))
-//
-// (the caller folds any α_k normalization into a). a and out may not alias.
-//
-// Derivation (the Makhoul recombination run backwards): DCT2To computes
-// C[k] = Re(e^{-iπk/(2N)}·V[k]) with V the FFT of the even-odd permuted
-// input v. For real v, V has Hermitian symmetry, which pins the imaginary
-// part too: Im(e^{-iπk/(2N)}·V[k]) = -C[N-k] (with C[N] ≡ 0). The desired
-// series out[j] = Σ a[k]·cos(πk(2j+1)/(2N)) is the exact inverse of the
-// unnormalized DCT-II of the coefficients b[0] = N·a[0], b[k] = N/2·a[k],
-// so the spectrum is recovered as V[k] = e^{+iπk/(2N)}·(b[k] − i·b[N−k]),
-// one IFFT yields v, and undoing the even-odd permutation yields out —
-// O(N log N) against the O(N²) dense evaluation of the series.
-func (p *Plan) InvCosTo(a, out []float64) {
-	n := p.n
-	if len(a) != n || len(out) != n {
-		panic("fft: transform size mismatch")
-	}
-	if n == 1 {
-		out[0] = a[0]
-		return
-	}
-	rev := p.rev
-	p.cbuf[0] = complex(a[0], 0)
-	for k := 1; k < n; k++ {
-		p.cbuf[rev[k]] = p.untwiddle[k] * complex(a[k]/2, -a[n-k]/2)
-	}
-	butterflies(p.cbuf, p.invStage)
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(p.cbuf[i])
-		out[2*i+1] = real(p.cbuf[n-1-i])
-	}
-}
-
-// InvSinTo evaluates the sine series
-//
-//	out[j] = Σ_{k=0}^{N-1} a[k]·sin(πk(2j+1)/(2N))
-//
-// (the k = 0 term is identically zero). a and out may not alias.
-//
-// The sine series reduces to the cosine series through the identity
-// sin(πk(2j+1)/(2N)) = (−1)^j·cos(π(N−k)(2j+1)/(2N)): running InvCosTo on
-// the index-reversed coefficients (ã[m] = a[N−m], ã[0] = 0 — the k = 0
-// term vanishes) and alternating the output sign yields the sine
-// reconstruction at the same O(N log N) cost. The reversal is folded
-// directly into the spectrum construction (ã[k] = a[n−k], ã[n−k] = a[k]),
-// so no coefficient staging buffer is needed — the float operations are
-// bit-identical to materializing ã and calling InvCosTo.
-func (p *Plan) InvSinTo(a, out []float64) {
-	n := p.n
-	if len(a) != n || len(out) != n {
-		panic("fft: transform size mismatch")
-	}
-	if n == 1 {
-		out[0] = 0
-		return
-	}
-	rev := p.rev
-	p.cbuf[0] = 0
-	for k := 1; k < n; k++ {
-		p.cbuf[rev[k]] = p.untwiddle[k] * complex(a[n-k]/2, -a[k]/2)
-	}
-	butterflies(p.cbuf, p.invStage)
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(p.cbuf[i])
-		out[2*i+1] = -real(p.cbuf[n-1-i])
-	}
-}
-
 // checkPair panics unless a0 and a1 hold N values each and out0 and out1
 // have room for N values stride apart.
 func (p *Plan) checkPair(a0, a1, out0, out1 []float64, stride int) {
@@ -266,44 +149,29 @@ func (p *Plan) checkPair(a0, a1, out0, out1 []float64, stride int) {
 	}
 }
 
-// DCT2PairTo computes the unnormalized DCT-II of two independent real
-// lines with a single complex FFT: the classic two-for-one Hermitian
-// packing z = v₀ + i·v₁ (each line even-odd permuted as in DCT2To). The
-// FFT of a real line has Hermitian symmetry, so the two interleaved
-// spectra separate exactly as V₀[k] = (Z[k] + conj(Z[N−k]))/2 and
+// DCT2PairTo computes the unnormalized DCT-II
+//
+//	outj[k] = Σ_n xj[n]·cos(πk(2n+1)/(2N))
+//
+// of two independent real lines with a single complex FFT. Each line is
+// permuted even-odd (Makhoul: v = [x₀, x₂, …, x₃, x₁]), and the two pack
+// into z = v₀ + i·v₁, the two-for-one Hermitian packing. The FFT of a
+// real line has Hermitian symmetry, so the two interleaved spectra
+// separate exactly as V₀[k] = (Z[k] + conj(Z[N−k]))/2 and
 // V₁[k] = (Z[k] − conj(Z[N−k]))/(2i), after which each line gets the
-// usual quarter-wave post-twiddle. Halves the FFT work of the row/column
-// passes in the spectral Poisson solve.
+// quarter-wave post-twiddle, C[k] = Re(e^{−iπk/(2N)}·V[k]).
 //
 // Output k of line j goes to outj[k·stride]: stride 1 writes a row, and
 // stride m into an m×m row-major grid writes a column. Every input is read
 // before any output is written, so xi and outi may alias.
 //
-// From N = 8 up, the input loads straight from the lines into the first
-// butterfly pass, and the last radix-2 stage hands each butterfly pair to
-// the unpack in registers: butterflies k and N/2−k produce Z[k], Z[N−k],
-// Z[N/2−k] and Z[N/2+k], which are all that outputs k, N−k, N/2−k and
-// N/2+k read. The arithmetic is that of the staged loops, operation for
-// operation.
+// The input loads straight from the lines into the first butterfly pass,
+// and the last radix-2 stage hands each butterfly pair to the unpack in
+// registers: butterflies k and N/2−k produce Z[k], Z[N−k], Z[N/2−k] and
+// Z[N/2+k], which are all that outputs k, N−k, N/2−k and N/2+k read.
 func (p *Plan) DCT2PairTo(x0, x1, out0, out1 []float64, stride int) {
 	p.checkPair(x0, x1, out0, out1, stride)
-	n, c := p.n, p.cbuf
-	if n == 1 {
-		out0[0], out1[0] = x0[0], x1[0]
-		return
-	}
-	src, tw := p.src, p.twiddle
-	if n < 8 {
-		for j, i := range src {
-			c[j] = complex(x0[i], x1[i])
-		}
-		butterflies(c, p.fwdStage)
-		out0[0], out1[0] = real(c[0]), imag(c[0])
-		for k := 1; k < n; k++ {
-			dctOut(out0, out1, k*stride, tw[k], c[k], c[n-k])
-		}
-		return
-	}
+	n, c, src, tw := p.n, p.cbuf, p.src, p.twiddle
 	w3 := p.fwdStage[3]
 	for s := 0; s < n; s += 4 {
 		i0, i1, i2, i3 := src[s], src[s+1], src[s+2], src[s+3]
@@ -344,52 +212,49 @@ func dctOut(out0, out1 []float64, at int, tw, zk, zn complex128) {
 	out1[at] = twr*v1r - twi*v1i
 }
 
-// InvCosPairTo evaluates the cosine series of two independent coefficient
-// lines with a single complex FFT. Each line's spectrum V[k] (see
-// InvCosTo) is Hermitian — its inverse FFT is real — so both pack into
-// one complex spectrum Z = V₀ + i·V₁; after one inverse FFT the real part
-// carries line 0 and the imaginary part line 1, each undoing the even-odd
-// permutation. Outputs are strided as in DCT2PairTo, and ai and outi may
-// alias.
+// InvCosPairTo evaluates the cosine series
+//
+//	outj[i] = Σ_{k=0}^{N-1} aj[k]·cos(πk(2i+1)/(2N))
+//
+// of two independent coefficient lines with a single complex FFT; the
+// caller folds any α_k normalization into aj. It runs the DCT-II's
+// Makhoul recombination backwards: each line's spectrum,
+// V[0] = a[0] and V[k] = e^{+iπk/(2N)}·(a[k] − i·a[N−k])/2, is Hermitian,
+// since its inverse FFT is the real, even-odd permuted output. So both
+// pack into one complex spectrum Z = V₀ + i·V₁; after one inverse FFT the
+// real part carries line 0 and the imaginary part line 1, each undoing
+// the even-odd permutation. Outputs are strided as in DCT2PairTo, and ai
+// and outi may alias.
 func (p *Plan) InvCosPairTo(a0, a1, out0, out1 []float64, stride int) {
 	p.invPairTo(a0, a1, out0, out1, stride, false)
 }
 
-// InvSinPairTo evaluates the sine series of two independent coefficient
-// lines with a single complex FFT: InvCosPairTo on the index-reversed
-// coefficients of both lines (folded into the spectrum construction, as
-// in InvSinTo) with the odd-output sign flip applied to both unpacked
-// lines. Outputs are strided as in DCT2PairTo, and ai and outi may alias.
+// InvSinPairTo evaluates the sine series
+//
+//	outj[i] = Σ_{k=0}^{N-1} aj[k]·sin(πk(2i+1)/(2N))
+//
+// of two independent coefficient lines with a single complex FFT; the
+// k = 0 term is identically zero. The identity
+// sin(πk(2i+1)/(2N)) = (−1)^i·cos(π(N−k)(2i+1)/(2N)) makes it
+// InvCosPairTo on the index-reversed coefficients ã[k] = a[N−k],
+// ã[0] = 0, with the sign of every odd output flipped; the reversal is
+// folded into the spectrum construction. Outputs are strided as in
+// DCT2PairTo, and ai and outi may alias.
 func (p *Plan) InvSinPairTo(a0, a1, out0, out1 []float64, stride int) {
 	p.invPairTo(a0, a1, out0, out1, stride, true)
 }
 
-// invPairTo is InvCosPairTo, or InvSinPairTo when sin is set. From N = 8
-// up it fuses like DCT2PairTo: each spectrum entry is built straight into
-// the first butterfly pass, and butterflies i and N/2−1−i of the last
-// stage produce Z[i], Z[N/2+i], Z[N/2−1−i] and Z[N−1−i], which are all
-// that outputs 2i, 2i+1, N−2−2i and N−1−2i read.
+// invPairTo is InvCosPairTo, or InvSinPairTo when sin is set. It fuses
+// like DCT2PairTo: each spectrum entry is built straight into the first
+// butterfly pass, and butterflies i and N/2−1−i of the last stage produce
+// Z[i], Z[N/2+i], Z[N/2−1−i] and Z[N−1−i], which are all that outputs 2i,
+// 2i+1, N−2−2i and N−1−2i read.
 func (p *Plan) invPairTo(a0, a1, out0, out1 []float64, stride int, sin bool) {
 	p.checkPair(a0, a1, out0, out1, stride)
 	n, c, rev := p.n, p.cbuf, p.rev
 	var z0 complex128 // the k = 0 term: zero for the sine series
 	if !sin {
 		z0 = complex(a0[0], a1[0])
-	}
-	if n == 1 {
-		out0[0], out1[0] = real(z0), imag(z0)
-		return
-	}
-	if n < 8 {
-		c[0] = z0
-		for j := 1; j < n; j++ {
-			c[j] = p.invIn(a0, a1, rev[j], sin)
-		}
-		butterflies(c, p.invStage)
-		for i := 0; i < n/2; i++ {
-			invOut(out0, out1, 2*i*stride, stride, c[i], c[n-1-i], sin)
-		}
-		return
 	}
 	w3 := p.invStage[3]
 	first4(c[0:4:4], z0, p.invIn(a0, a1, rev[1], sin), p.invIn(a0, a1, rev[2], sin),

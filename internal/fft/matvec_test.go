@@ -6,8 +6,9 @@ import (
 )
 
 // This file keeps the dense O(N²) evaluation of the trig transforms, the
-// implementation the FFT-based path replaced. Validation tests and
-// micro-benchmarks diff the fast path against it.
+// implementation the FFT-based path replaced, one line per call.
+// Validation tests and micro-benchmarks diff the pair transforms against
+// it.
 
 // denseBasis is the cosine/sine basis of one transform size, built once.
 type denseBasis struct {
@@ -44,20 +45,22 @@ func (p *Plan) refTables() ([]float64, []float64) {
 	return b.cosTab, b.sinTab
 }
 
-// InvCosMatVec is the dense O(N²) reference evaluation of InvCosTo.
+// InvCosMatVec is the dense O(N²) reference evaluation of one line of
+// InvCosPairTo.
 func (p *Plan) InvCosMatVec(a, out []float64) {
 	cosTab, _ := p.refTables()
 	p.matVec(cosTab, a, out)
 }
 
-// InvSinMatVec is the dense O(N²) reference evaluation of InvSinTo.
+// InvSinMatVec is the dense O(N²) reference evaluation of one line of
+// InvSinPairTo.
 func (p *Plan) InvSinMatVec(a, out []float64) {
 	_, sinTab := p.refTables()
 	p.matVec(sinTab, a, out)
 }
 
-// DCT2MatVec is the dense O(N²) reference evaluation of DCT2To: the
-// forward transform shares the cosine basis with InvCosMatVec, with the
+// DCT2MatVec is the dense O(N²) reference evaluation of one line of
+// DCT2PairTo: the forward transform shares the cosine basis with InvCosMatVec, with the
 // roles of k and j swapped (out[k] = Σ_j x[j]·cos(πk(2j+1)/(2N))). x and
 // out must not alias.
 func (p *Plan) DCT2MatVec(x, out []float64) {

@@ -13,9 +13,9 @@ import (
 // This file keeps the transforms the bit-reversed, per-stage-table path
 // replaced: a radix-2 FFT that swaps its input into bit-reversed order in
 // place and reads its twiddles from one full-length table at a
-// stage-dependent stride, and the six trig transforms built on it. They
+// stage-dependent stride, and the three pair transforms built on it. They
 // are the bit-identity reference for the Plan transforms, and the naive
-// DFT tests validate them in turn.
+// DFT tests validate the FFT in turn.
 
 // FFT computes the in-place forward discrete Fourier transform
 // X[k] = Σ_n x[n]·e^{-2πi·kn/N}. len(x) must be a power of two.
@@ -99,68 +99,9 @@ func fftTab(x []complex128, tab []complex128) {
 	}
 }
 
-// refDCT2 is DCT2To on fftTab.
-func refDCT2(p *Plan, x, out []float64) {
-	n := p.n
-	c := make([]complex128, n)
-	half := n / 2
-	for i := 0; i < half; i++ {
-		c[i] = complex(x[2*i], 0)
-		c[n-1-i] = complex(x[2*i+1], 0)
-	}
-	if n == 1 {
-		c[0] = complex(x[0], 0)
-	}
-	fftTab(c, convTables(n).fwd)
-	for k := 0; k < n; k++ {
-		out[k] = real(p.twiddle[k] * c[k])
-	}
-}
-
-// refInvCos is InvCosTo on fftTab.
-func refInvCos(p *Plan, a, out []float64) {
-	n := p.n
-	if n == 1 {
-		out[0] = a[0]
-		return
-	}
-	c := make([]complex128, n)
-	c[0] = complex(a[0], 0)
-	for k := 1; k < n; k++ {
-		c[k] = p.untwiddle[k] * complex(a[k]/2, -a[n-k]/2)
-	}
-	fftTab(c, convTables(n).inv)
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(c[i])
-		out[2*i+1] = real(c[n-1-i])
-	}
-}
-
-// refInvSin is InvSinTo on fftTab.
-func refInvSin(p *Plan, a, out []float64) {
-	n := p.n
-	if n == 1 {
-		out[0] = 0
-		return
-	}
-	c := make([]complex128, n)
-	for k := 1; k < n; k++ {
-		c[k] = p.untwiddle[k] * complex(a[n-k]/2, -a[k]/2)
-	}
-	fftTab(c, convTables(n).inv)
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(c[i])
-		out[2*i+1] = -real(c[n-1-i])
-	}
-}
-
 // refDCT2Pair is DCT2PairTo on fftTab.
 func refDCT2Pair(p *Plan, x0, x1, out0, out1 []float64) {
 	n := p.n
-	if n == 1 {
-		out0[0], out1[0] = x0[0], x1[0]
-		return
-	}
 	c := make([]complex128, n)
 	for i := 0; i < n/2; i++ {
 		c[i] = complex(x0[2*i], x1[2*i])
@@ -184,10 +125,6 @@ func refDCT2Pair(p *Plan, x0, x1, out0, out1 []float64) {
 // refInvCosPair is InvCosPairTo on fftTab.
 func refInvCosPair(p *Plan, a0, a1, out0, out1 []float64) {
 	n := p.n
-	if n == 1 {
-		out0[0], out1[0] = a0[0], a1[0]
-		return
-	}
 	c := make([]complex128, n)
 	c[0] = complex(a0[0], a1[0])
 	for k := 1; k < n; k++ {
@@ -206,10 +143,6 @@ func refInvCosPair(p *Plan, a0, a1, out0, out1 []float64) {
 // refInvSinPair is InvSinPairTo on fftTab.
 func refInvSinPair(p *Plan, a0, a1, out0, out1 []float64) {
 	n := p.n
-	if n == 1 {
-		out0[0], out1[0] = 0, 0
-		return
-	}
 	c := make([]complex128, n)
 	for k := 1; k < n; k++ {
 		c[k] = p.untwiddle[k] * complex((a0[n-k]+a1[k])/2, (a1[n-k]-a0[k])/2)
@@ -274,22 +207,13 @@ func sameBits(got, want []float64) (int, bool) {
 	return 0, true
 }
 
-// TestTransformsMatchFFTTabReference pins every Plan transform, single and
-// packed pair, to its fftTab-driven reference bit for bit (Float64bits
-// equality, so signed zeros count) at every power of two up to 1024.
+// TestTransformsMatchFFTTabReference pins every Plan pair transform to its
+// fftTab-driven reference bit for bit (Float64bits equality, so signed
+// zeros count) at every power of two from 8 to 1024.
 func TestTransformsMatchFFTTabReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for n := 1; n <= 1024; n *= 2 {
+	for n := 8; n <= 1024; n *= 2 {
 		p := NewPlan(n)
-		singles := []struct {
-			name string
-			got  func(a, out []float64)
-			want func(p *Plan, a, out []float64)
-		}{
-			{"DCT2To", p.DCT2To, refDCT2},
-			{"InvCosTo", p.InvCosTo, refInvCos},
-			{"InvSinTo", p.InvSinTo, refInvSin},
-		}
 		pairs := []struct {
 			name string
 			got  func(a0, a1, out0, out1 []float64, stride int)
@@ -304,14 +228,6 @@ func TestTransformsMatchFFTTabReference(t *testing.T) {
 				x0, x1 := refLine(rng, n, kind), refLine(rng, n, kind)
 				got0, got1 := make([]float64, n), make([]float64, n)
 				want0, want1 := make([]float64, n), make([]float64, n)
-				for _, tr := range singles {
-					tr.got(x0, got0)
-					tr.want(p, x0, want0)
-					if i, ok := sameBits(got0, want0); !ok {
-						t.Fatalf("n=%d kind=%d %s[%d] = %v (%#x), reference %v (%#x)", n, kind, tr.name, i,
-							got0[i], math.Float64bits(got0[i]), want0[i], math.Float64bits(want0[i]))
-					}
-				}
 				for _, tr := range pairs {
 					tr.got(x0, x1, got0, got1, 1)
 					tr.want(p, x0, x1, want0, want1)

@@ -19,14 +19,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 func (p Point) String() string { return fmt.Sprintf("(%.3f,%.3f)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle described by its lower-left (Lo) and
@@ -147,16 +139,6 @@ type Interval struct {
 
 // Len returns the interval length.
 func (iv Interval) Len() float64 { return iv.Hi - iv.Lo }
-
-// Overlap returns the length of the intersection of iv and jv (zero when
-// disjoint).
-func (iv Interval) Overlap(jv Interval) float64 {
-	d := math.Min(iv.Hi, jv.Hi) - math.Max(iv.Lo, jv.Lo)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
 
 // Contains reports whether x lies within the interval (inclusive).
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }

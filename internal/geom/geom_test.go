@@ -17,12 +17,6 @@ func TestPointOps(t *testing.T) {
 	if got := p.Sub(q); got != (Point{-2, 3}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := p.Dist(q); !almostEq(got, math.Hypot(2, 3)) {
-		t.Errorf("Dist = %v", got)
-	}
 }
 
 func TestRectConstruction(t *testing.T) {
@@ -123,12 +117,6 @@ func TestInterval(t *testing.T) {
 	iv := Interval{2, 5}
 	if iv.Len() != 3 {
 		t.Errorf("Len = %g", iv.Len())
-	}
-	if got := iv.Overlap(Interval{4, 9}); got != 1 {
-		t.Errorf("Overlap = %g", got)
-	}
-	if got := iv.Overlap(Interval{6, 9}); got != 0 {
-		t.Errorf("disjoint Overlap = %g", got)
 	}
 	if !iv.Contains(2) || !iv.Contains(5) || iv.Contains(5.001) {
 		t.Error("Contains boundary behaviour wrong")

@@ -166,15 +166,6 @@ func (m *Model) FOM(n *circuit.Netlist, p *circuit.Placement) float64 {
 	return f
 }
 
-// SetReference anchors RefCap to the parasitics of placement p, making p
-// the "nominal" layout the sensitivities are measured against.
-func (m *Model) SetReference(n *circuit.Netlist, p *circuit.Placement) {
-	m.RefCap = make([]float64, len(n.Nets))
-	for e := range n.Nets {
-		m.RefCap[e] = m.Wire.NetCap(n, p, e)
-	}
-}
-
 // SetReferenceLengths anchors RefCap assuming every net has HPWL equal to
 // frac·scale (a placement-free compact-layout estimate).
 func (m *Model) SetReferenceLengths(n *circuit.Netlist, scale, frac float64) {
@@ -183,11 +174,4 @@ func (m *Model) SetReferenceLengths(n *circuit.Netlist, scale, frac float64) {
 		pins := len(n.Nets[e].Pins)
 		m.RefCap[e] = m.Wire.C0 + m.Wire.CPerLen*frac*scale + m.Wire.CPerFanout*float64(max(pins-2, 0))
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -154,11 +154,16 @@ func TestFOMBounds(t *testing.T) {
 	}
 }
 
+// TestSetReferenceAnchors: with RefCap set to placement p's own net
+// capacitances, p is the nominal layout, and Eval there returns Base.
 func TestSetReferenceAnchors(t *testing.T) {
 	n := tinyCircuit()
 	m := tinyModel(n)
 	p := placeAt(n, 0, 0, 8, 0, 4, 4)
-	m.SetReference(n, p)
+	m.RefCap = make([]float64, len(n.Nets))
+	for e := range n.Nets {
+		m.RefCap[e] = m.Wire.NetCap(n, p, e)
+	}
 	raw := m.Eval(n, p)
 	// At the reference placement (zero mismatch), load = 1: raw == Base.
 	if math.Abs(raw[0]-m.Metrics[0].Base) > 1e-9 {

@@ -29,14 +29,16 @@ import (
 // gridM is the bin grid dimension: m×m bins over the placement region.
 const gridM = 64
 
+// symWeight scales the soft symmetry penalty relative to the wirelength
+// gradient.
+const symWeight = 0.4
+
 // Options configures the NTUplace3-style global placement.
 type Options struct {
 	Seed int64
 
 	// Util sets the placement-region utilization (default 0.5).
 	Util float64
-	// SymWeight scales the soft symmetry penalty (default 0.4).
-	SymWeight float64
 	// Epochs of conjugate gradient with doubling density weight
 	// (default 14; 7 for a warm start).
 	Epochs int
@@ -67,9 +69,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Util == 0 {
 		o.Util = 0.5
-	}
-	if o.SymWeight == 0 {
-		o.SymWeight = 0.4
 	}
 	if o.Epochs == 0 {
 		o.Epochs = 14
@@ -184,7 +183,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	if sNorm < 1e-12 {
 		sNorm = wlNorm
 	}
-	tau := opt.SymWeight * wlNorm / sNorm
+	tau := symWeight * wlNorm / sNorm
 
 	anchorW := 0.0
 	if w := opt.Warm; w != nil {

@@ -98,7 +98,6 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 		// the span stack is not safe for concurrent nesting. Aggregate
 		// telemetry is emitted below from the calling goroutine.
 		o.Tracer = nil
-		o.TraceEvery = 0
 		o.Seed = saOpt.Seed + chainSeedStride*int64(c)
 		p, st, err := anneal.Place(ctx, n, o)
 		results[c] = chainResult{place: p, stats: st, err: err}
