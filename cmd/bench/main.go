@@ -39,7 +39,7 @@ func main() {
 		reps     = flag.Int("reps", 0, "timed repetitions per case and method (default 3, 1 with -quick)")
 		warmup   = flag.Int("warmup", -1, "untimed warmup runs per case and method; -1 = per-mode default (1, 0 with -quick), 0 = none")
 		seed     = flag.Int64("seed", 1, "seed for both circuit generation and placement")
-		threads  = flag.Int("threads", runtime.NumCPU(), "worker threads of the SA chain pool; eplace-a and prev run single-threaded (QoR is bit-identical at any count)")
+		threads  = flag.Int("threads", runtime.NumCPU(), "how many SA chains may run at once; eplace-a and prev run single-threaded (QoR is bit-identical at any count)")
 		quick    = flag.Bool("quick", false, "reduced solver budgets and repetitions (CI smoke scale)")
 		label    = flag.String("label", "", "report label, names the output file BENCH_<label>.json (default the suite name)")
 		outDir   = flag.String("out", ".", "directory for the report file")

@@ -38,7 +38,7 @@ func main() {
 		method  = flag.String("method", "eplace-a", "placement method: sa | prev | eplace-a")
 		outPath = flag.String("out", "", "write placement JSON here (default stdout)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		threads = flag.Int("threads", runtime.NumCPU(), "worker threads of the SA chain pool; eplace-a and prev run single-threaded (results are bit-identical at any count)")
+		threads = flag.Int("threads", runtime.NumCPU(), "how many SA chains may run at once; eplace-a and prev run single-threaded (results are bit-identical at any count)")
 		perf    = flag.Bool("perf", false, "performance-driven variant (built-in circuits only; trains a GNN)")
 		list    = flag.Bool("list", false, "list built-in benchmark circuits")
 		dumpNet = flag.Bool("dump-netlist", false, "write the selected circuit's netlist JSON and exit")

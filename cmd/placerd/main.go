@@ -48,7 +48,7 @@ func main() {
 	log.SetPrefix("placerd: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "solver worker pool size")
-	threads := flag.Int("threads", runtime.NumCPU(), "size of the shared pool all jobs' SA chains run on (requests pinning an explicit threads count get a pool of that size); eplace-a and prev run single-threaded (results are bit-identical at any count)")
+	threads := flag.Int("threads", runtime.NumCPU(), "how many of a job's SA chains may run at once, for requests that set no threads count; eplace-a and prev run single-threaded (results are bit-identical at any count)")
 	queueCap := flag.Int("queue", 64, "queued-job capacity; beyond it submissions get 429")
 	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight jobs (queued+running) per tenant; beyond it that tenant's submissions get 429 (0 = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "content-addressed result cache size in bytes, LRU-evicted (0 = caching off)")

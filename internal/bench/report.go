@@ -113,7 +113,7 @@ type Report struct {
 	Chains        int  `json:"chains,omitempty"`
 	Refine        bool `json:"refine,omitempty"`
 	RefineWindows int  `json:"refine_windows,omitempty"`
-	// Threads is the resolved SA chain pool size the run used;
+	// Threads is the resolved count of SA chains the run let run at once;
 	// GoMaxProcs snapshots the Go scheduler's parallelism. QoR does not
 	// depend on either, runtime does.
 	Threads     int          `json:"threads,omitempty"`

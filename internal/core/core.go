@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
@@ -30,7 +31,6 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/netio"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/perfmodel"
 	"repro/internal/prevwork"
 	"repro/internal/refine"
@@ -120,9 +120,9 @@ type Options struct {
 
 	// Chains is the simulated-annealing portfolio width: SA runs as this
 	// many independent chains (deterministic per-chain seeds, best-of
-	// reduction on exact HPWL/area) executed in parallel on the worker
-	// pool. 0 runs 2 chains cold and 1 warm. Results are bit-identical at
-	// every thread count.
+	// reduction on exact HPWL/area), up to Threads of them at once. 0 runs
+	// 2 chains cold and 1 warm. Results are bit-identical at every thread
+	// count.
 	Chains int
 
 	// Refine, when non-nil, appends the ILP large-neighborhood refinement
@@ -140,20 +140,13 @@ type Options struct {
 	// carry a tracer keep it.
 	Tracer *obs.Tracer
 
-	// Threads sizes the worker pool that runs the SA portfolio chains.
-	// Zero means runtime.NumCPU(); 1 runs the chains one after another.
-	// The eplace-a and prev flows run single-threaded whatever the value.
-	// Results are bit-identical at every thread count: the chains'
-	// seeds and their best-of reduction do not depend on scheduling.
+	// Threads is how many SA portfolio chains may run at once, each on
+	// its own goroutine. Zero means runtime.NumCPU(); 1 runs the chains
+	// one after another. The eplace-a and prev flows run single-threaded
+	// whatever the value. Results are bit-identical at every thread
+	// count: the chains' seeds and their best-of reduction do not depend
+	// on scheduling.
 	Threads int
-
-	// Pool, when non-nil, is a caller-owned worker pool the SA chains run
-	// on instead of one built per call: a long-running service sizes one
-	// pool to the machine and shares it across every concurrent placement
-	// (par.Pool supports concurrent Run calls). The flow never closes a
-	// caller pool, and Threads is ignored while Pool is set. Placement
-	// bits are identical either way.
-	Pool *par.Pool
 
 	// WarmStart, when non-nil, runs the flow as an incremental (ECO)
 	// re-solve against a prior placement: the netlist diff
@@ -232,6 +225,9 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if opt.Portfolio < 0 {
+		return nil, fmt.Errorf("core: negative Portfolio %d", opt.Portfolio)
 	}
 	start := time.Now()
 	placeSpan := opt.Tracer.StartSpan("place")
@@ -322,18 +318,12 @@ func override[T any](o *T) T {
 }
 
 // placeSA anneals as a portfolio of chains (refine.Portfolio), warm-seeded
-// from the prior placement when the run has one. The chains run on
-// Options.Pool, or on a pool of Options.Threads workers built for the call.
+// from the prior placement when the run has one. Up to Options.Threads
+// chains run at once.
 func (r *run) placeSA() error {
-	pool := r.opt.Pool
-	if pool == nil {
-		threads := r.opt.Threads
-		if threads == 0 {
-			threads = par.NumCPU()
-		}
-		// NewPool returns nil for threads <= 1: the chains then run in turn.
-		pool = par.NewPool(threads)
-		defer pool.Close()
+	threads := r.opt.Threads
+	if threads == 0 {
+		threads = runtime.NumCPU()
 	}
 	sa := override(r.opt.SA)
 	r.inherit(shared{seed: &sa.Seed, tracer: &sa.Tracer})
@@ -351,9 +341,9 @@ func (r *run) placeSA() error {
 			Anchored: w.anchored, Weight: r.opt.WarmStart.AnchorWeight}
 	}
 	p, stats, err := refine.Portfolio(r.ctx, r.n, sa, refine.PortfolioOptions{
-		Chains: r.opt.Chains,
-		Pool:   pool,
-		Tracer: r.opt.Tracer,
+		Chains:  r.opt.Chains,
+		Threads: threads,
+		Tracer:  r.opt.Tracer,
 	})
 	if err != nil {
 		return err

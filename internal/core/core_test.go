@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/anneal"
@@ -139,6 +140,21 @@ func TestUnknownMethodRejected(t *testing.T) {
 	c, _ := testcircuits.ByName("Adder")
 	if _, err := Place(c.Netlist, Method(99), Options{}); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestNegativePortfolioRejected checks a negative ePlace-A portfolio is an
+// error, not an index panic on an empty candidate list.
+func TestNegativePortfolioRejected(t *testing.T) {
+	c, _ := testcircuits.ByName("Adder")
+	for _, m := range []Method{MethodSA, MethodPrev, MethodEPlaceA} {
+		res, err := Place(c.Netlist, m, Options{Portfolio: -1})
+		if err == nil || !strings.Contains(err.Error(), "negative Portfolio -1") {
+			t.Errorf("%v: error %v, want negative Portfolio", m, err)
+		}
+		if res != nil {
+			t.Errorf("%v: rejected run returned a result", m)
+		}
 	}
 }
 

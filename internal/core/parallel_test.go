@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/eplacea"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/prevwork"
 	"repro/internal/refine"
 	"repro/internal/testcircuits"
@@ -176,12 +175,10 @@ func TestThreadCountByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSharedPoolByteIdentity covers the service configuration: one
-// caller-owned pool handed to several concurrent placements via
-// Options.Pool. Every result must be byte-identical to the Threads-based
-// run of the same config — sharing the pool may change scheduling, never
-// bits — and the caller's pool must remain usable afterwards (the flow
-// must not close it).
+// TestSharedPoolByteIdentity covers the service configuration: several
+// placements run at once, each with its own SA chain fan-out at Threads 2.
+// Every result must be byte-identical to the sequential Threads 4 run of
+// the same config — concurrency may change scheduling, never bits.
 func TestSharedPoolByteIdentity(t *testing.T) {
 	n, err := gen.Generate(gen.Params{Devices: 48, Seed: 9})
 	if err != nil {
@@ -221,8 +218,6 @@ func TestSharedPoolByteIdentity(t *testing.T) {
 		want[i] = render(res)
 	}
 
-	pool := par.NewPool(4)
-	defer pool.Close()
 	got := make([][]byte, len(methods))
 	errs := make([]error, len(methods))
 	var wg sync.WaitGroup
@@ -231,8 +226,7 @@ func TestSharedPoolByteIdentity(t *testing.T) {
 		go func(i int, m Method) {
 			defer wg.Done()
 			opt := baseOpt(21)
-			opt.Pool = pool
-			opt.Threads = 1 // must be ignored while Pool is set
+			opt.Threads = 2
 			res, err := PlaceCtx(context.Background(), n, m, opt)
 			if err != nil {
 				errs[i] = err
@@ -244,18 +238,10 @@ func TestSharedPoolByteIdentity(t *testing.T) {
 	wg.Wait()
 	for i, m := range methods {
 		if errs[i] != nil {
-			t.Fatalf("%v shared pool: %v", m, errs[i])
+			t.Fatalf("%v concurrent threads=2: %v", m, errs[i])
 		}
 		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("%v: shared-pool placement differs from threads=4 run", m)
-		}
-	}
-	// The pool must still work after the flows return.
-	marks := make([]int, 8)
-	pool.Run(len(marks), func(shard int) { marks[shard] = shard + 1 })
-	for j, v := range marks {
-		if v != j+1 {
-			t.Fatalf("pool unusable after shared placements (mark %d = %d)", j, v)
+			t.Errorf("%v: concurrent threads=2 placement differs from threads=4 run", m)
 		}
 	}
 }

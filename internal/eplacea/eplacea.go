@@ -252,28 +252,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad
 	areaEv := wl.NewAreaEvaluator(n, 4*binW)
 	grid.Tracer, wlEv.Tracer = opt.Tracer, opt.Tracer
 
-	// Initial placement: devices gathered at the region center with a small
-	// deterministic jitter (the standard ePlace start).
-	rng := rand.New(rand.NewSource(opt.Seed))
-	p := circuit.NewPlacement(n)
-	cx, cy := region.Center().X, region.Center().Y
-	for i := 0; i < nd; i++ {
-		p.X[i] = cx + (rng.Float64()-0.5)*side*0.15
-		p.Y[i] = cy + (rng.Float64()-0.5)*side*0.15
-	}
-	if w := opt.Warm; w != nil {
-		// Warm start: overwrite with the prior placement where it has a
-		// usable coordinate (the jitter draws above still happen for every
-		// device, so the rng stream is identical either way), then clamp
-		// into the possibly different region.
-		for i := 0; i < nd; i++ {
-			if w.ValidAt(i) {
-				p.X[i] = w.X[i]
-				p.Y[i] = w.Y[i]
-			}
-		}
-		clampInto(n, p, region)
-	}
+	p := Start(n, region, opt.Seed, opt.Warm)
 
 	st := &solveState{
 		n: n, opt: &opt, grid: grid, wlEv: wlEv, areaEv: areaEv,
@@ -355,9 +334,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad
 	}
 	copy(p.X, x[:nd])
 	copy(p.Y, x[nd:])
-	clampInto(n, p, region)
-	resolveAxes(n, p)
-	n.Normalize(p)
+	Finish(n, p, region)
 
 	grid.Update(n, p)
 	res := &Result{
@@ -628,11 +605,41 @@ func OptimalAxis(n *circuit.Netlist, p *circuit.Placement, gi int) float64 {
 	return num / den
 }
 
-// resolveAxes stores each group's optimal axis into the placement.
-func resolveAxes(n *circuit.Netlist, p *circuit.Placement) {
+// Start returns the standard ePlace start in region: devices gathered at
+// its center with a small jitter drawn from seed. A warm start then
+// overwrites every device it has a usable coordinate for (the jitter draws
+// still happen for every device, so the rng stream is identical either
+// way) and clamps into the possibly different region.
+func Start(n *circuit.Netlist, region geom.Rect, seed int64, warm *WarmStart) *circuit.Placement {
+	rng := rand.New(rand.NewSource(seed))
+	p := circuit.NewPlacement(n)
+	side := region.W()
+	cx, cy := region.Center().X, region.Center().Y
+	for i := range n.Devices {
+		p.X[i] = cx + (rng.Float64()-0.5)*side*0.15
+		p.Y[i] = cy + (rng.Float64()-0.5)*side*0.15
+	}
+	if warm != nil {
+		for i := range n.Devices {
+			if warm.ValidAt(i) {
+				p.X[i] = warm.X[i]
+				p.Y[i] = warm.Y[i]
+			}
+		}
+		clampInto(n, p, region)
+	}
+	return p
+}
+
+// Finish turns a GP solution into global placement's output: every
+// footprint clamped into region, each symmetry group's optimal axis
+// stored, and the placement normalized.
+func Finish(n *circuit.Netlist, p *circuit.Placement, region geom.Rect) {
+	clampInto(n, p, region)
 	for gi := range n.SymGroups {
 		p.AxisX[gi] = OptimalAxis(n, p, gi)
 	}
+	n.Normalize(p)
 }
 
 // clampInto forces every device footprint inside the region.

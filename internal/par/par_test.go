@@ -8,27 +8,67 @@ import (
 	"time"
 )
 
-func TestNewPoolSmallIsNil(t *testing.T) {
-	for _, w := range []int{-1, 0, 1} {
-		if p := NewPool(w); p != nil {
-			t.Errorf("NewPool(%d) = %v, want nil (inline)", w, p)
+// TestRunCoversAllShards checks every index runs exactly once at any
+// thread count, and in index order when Run runs inline (threads <= 1).
+func TestRunCoversAllShards(t *testing.T) {
+	for _, threads := range []int{-1, 0, 1, 2, 8} {
+		for _, shards := range []int{0, 1, 3, 17, 100} {
+			hits := make([]atomic.Int32, shards)
+			var order []int
+			Run(threads, shards, func(s int) {
+				hits[s].Add(1)
+				if threads <= 1 {
+					order = append(order, s)
+				}
+			})
+			for s := range hits {
+				if got := hits[s].Load(); got != 1 {
+					t.Fatalf("threads=%d shards=%d: shard %d ran %d times", threads, shards, s, got)
+				}
+			}
+			for i, s := range order {
+				if s != i {
+					t.Fatalf("threads=%d shards=%d: inline call %d ran shard %d", threads, shards, i, s)
+				}
+			}
 		}
 	}
 }
 
-func TestRunCoversAllShards(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		p := NewPool(workers)
-		for _, shards := range []int{0, 1, 3, 17, 100} {
-			hits := make([]atomic.Int32, shards)
-			p.Run(shards, func(s int) { hits[s].Add(1) })
-			for s := range hits {
-				if got := hits[s].Load(); got != 1 {
-					t.Fatalf("workers=%d shards=%d: shard %d ran %d times", workers, shards, s, got)
-				}
+// TestRunBoundsInFlight checks Run starts threads calls at once and no
+// more: while they are all blocked no further call starts, and each
+// release lets one more in.
+func TestRunBoundsInFlight(t *testing.T) {
+	const threads, n = 3, 20
+	var inFlight, peak atomic.Int32
+	started := make(chan int, n)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Run(threads, n, func(i int) {
+			cur := inFlight.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
 			}
-		}
-		p.Close()
+			started <- i
+			<-release
+			inFlight.Add(-1)
+		})
+	}()
+	for k := 0; k < threads; k++ {
+		<-started
+	}
+	select {
+	case i := <-started:
+		t.Errorf("call %d started while %d calls were blocked", i, threads)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for k := 0; k < n; k++ {
+		release <- struct{}{}
+	}
+	<-done
+	if got := peak.Load(); got != threads {
+		t.Errorf("peak in flight %d, want %d", got, threads)
 	}
 }
 
@@ -75,11 +115,11 @@ func TestShardCountPureAndBounded(t *testing.T) {
 }
 
 // sumSharded reduces xs with the canonical pattern: per-shard partials
-// written on the pool, merged in shard order.
-func sumSharded(p *Pool, xs []float64) float64 {
+// written by Run at the given thread count, merged in shard order.
+func sumSharded(threads int, xs []float64) float64 {
 	shards := ShardCount(len(xs), 32)
 	partial := make([]float64, shards)
-	p.Run(shards, func(s int) {
+	Run(threads, shards, func(s int) {
 		lo, hi := ShardRange(len(xs), shards, s)
 		acc := 0.0
 		for i := lo; i < hi; i++ {
@@ -95,37 +135,32 @@ func sumSharded(p *Pool, xs []float64) float64 {
 }
 
 // TestDeterministicReduction is the package's reason to exist: the sharded
-// float reduction must be bit-identical across pool sizes, including the
-// nil (inline) pool.
+// float reduction must be bit-identical at every thread count, including
+// the inline one.
 func TestDeterministicReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	xs := make([]float64, 10_000)
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * 1e3
 	}
-	var nilPool *Pool
-	want := sumSharded(nilPool, xs)
-	for _, workers := range []int{2, 3, 8, 16} {
-		p := NewPool(workers)
+	want := sumSharded(1, xs)
+	for _, threads := range []int{2, 3, 8, 16} {
 		for rep := 0; rep < 20; rep++ {
-			if got := sumSharded(p, xs); got != want {
-				t.Fatalf("workers=%d rep=%d: sum %.17g, want %.17g (non-deterministic merge)", workers, rep, got, want)
+			if got := sumSharded(threads, xs); got != want {
+				t.Fatalf("threads=%d rep=%d: sum %.17g, want %.17g (non-deterministic merge)", threads, rep, got, want)
 			}
 		}
-		p.Close()
 	}
 }
 
 func TestConcurrentRuns(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(40, func(s int) { total.Add(1) })
+			Run(4, 40, func(s int) { total.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -134,37 +169,28 @@ func TestConcurrentRuns(t *testing.T) {
 	}
 }
 
-// A Run issued while every worker is pinned by long tasks must still
-// complete promptly: submission never blocks, and the caller executes the
-// shards inline when no worker frees up. This is the liveness contract the
-// shared placerd pool relies on once portfolio SA chains (minutes-long
-// tasks) share it with fine-grained kernels.
+// A Run issued while other Runs' calls are all blocked must still complete
+// promptly: each Run bounds only its own calls. This is the liveness
+// placerd relies on when its workers anneal several jobs' portfolio
+// chains (minutes-long calls) at once.
 func TestRunLiveUnderSaturation(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
 	release := make(chan struct{})
 	var occupied sync.WaitGroup
-	occupied.Add(4) // 2 Runs × 2 shards, each parked on release
+	occupied.Add(4) // 2 Runs × 2 calls, each parked on release
 	var pinned sync.WaitGroup
-	pinned.Add(1)
-	go func() {
-		defer pinned.Done()
-		// Two long shards pin both workers... except the caller of this
-		// Run takes one of them itself, so exactly one pool worker is
-		// occupied per long shard — run two concurrent Runs to pin both.
-		p.Run(2, func(int) { occupied.Done(); <-release })
-	}()
-	pinned.Add(1)
-	go func() {
-		defer pinned.Done()
-		p.Run(2, func(int) { occupied.Done(); <-release })
-	}()
-	occupied.Wait() // both workers (and both callers) now blocked
+	for r := 0; r < 2; r++ {
+		pinned.Add(1)
+		go func() {
+			defer pinned.Done()
+			Run(2, 2, func(int) { occupied.Done(); <-release })
+		}()
+	}
+	occupied.Wait() // both Runs now have every slot blocked
 
 	done := make(chan struct{})
 	go func() {
 		var total atomic.Int64
-		p.Run(8, func(int) { total.Add(1) })
+		Run(2, 8, func(int) { total.Add(1) })
 		if total.Load() == 8 {
 			close(done)
 		}
@@ -172,28 +198,8 @@ func TestRunLiveUnderSaturation(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run stalled behind saturated workers")
+		t.Fatal("Run stalled behind other Runs' blocked calls")
 	}
 	close(release)
 	pinned.Wait()
-}
-
-func TestCloseIdempotentAndNilSafe(t *testing.T) {
-	var nilPool *Pool
-	nilPool.Close() // must not panic
-	nilPool.Run(3, func(int) {})
-	p := NewPool(2)
-	p.Close()
-	p.Close() // second Close must not panic
-}
-
-func TestRunAfterClosePanics(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("Run on closed pool did not panic")
-		}
-	}()
-	p.Run(4, func(int) {})
 }

@@ -15,7 +15,6 @@ package prevwork
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/density"
@@ -133,25 +132,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 		opt.Tracer.Kernel("density_grad", t0)
 	}
 
-	rng := rand.New(rand.NewSource(opt.Seed))
-	p := circuit.NewPlacement(n)
-	cx, cy := region.Center().X, region.Center().Y
-	for i := 0; i < nd; i++ {
-		p.X[i] = cx + (rng.Float64()-0.5)*side*0.15
-		p.Y[i] = cy + (rng.Float64()-0.5)*side*0.15
-	}
-	if w := opt.Warm; w != nil {
-		// Warm start: take prior coordinates where usable (the rng stream
-		// above is consumed identically either way) and clamp into the
-		// possibly different region.
-		for i := 0; i < nd; i++ {
-			if w.Valid == nil || w.Valid[i] {
-				p.X[i] = w.X[i]
-				p.Y[i] = w.Y[i]
-			}
-		}
-		clamp(n, p, region)
-	}
+	p := eplacea.Start(n, region, opt.Seed, opt.Warm)
 
 	gx := make([]float64, nd)
 	gy := make([]float64, nd)
@@ -326,11 +307,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	}
 	copy(p.X, x[:nd])
 	copy(p.Y, x[nd:])
-	clamp(n, p, region)
-	for gi := range n.SymGroups {
-		p.AxisX[gi] = eplacea.OptimalAxis(n, p, gi)
-	}
-	n.Normalize(p)
+	eplacea.Finish(n, p, region)
 
 	res := &Result{
 		Placement:  p,
@@ -344,12 +321,4 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 		opt.Tracer.Gauge("prev.final_hpwl", res.HPWL)
 	}
 	return res, nil
-}
-
-func clamp(n *circuit.Netlist, p *circuit.Placement, region geom.Rect) {
-	for i := range n.Devices {
-		d := &n.Devices[i]
-		p.X[i] = geom.Interval{Lo: region.Lo.X + d.W/2, Hi: region.Hi.X - d.W/2}.Clamp(p.X[i])
-		p.Y[i] = geom.Interval{Lo: region.Lo.Y + d.H/2, Hi: region.Hi.Y - d.H/2}.Clamp(p.Y[i])
-	}
 }

@@ -37,9 +37,10 @@ type PortfolioOptions struct {
 	// a warm start, whose seeded low-temperature polish gains nothing from
 	// a second chain).
 	Chains int
-	// Pool executes chains as tasks; nil runs them sequentially. Results
-	// do not depend on the pool in any way.
-	Pool *par.Pool
+	// Threads is how many chains may run at once, each on its own
+	// goroutine; 1 or less runs them one after another on the caller's
+	// goroutine. Results do not depend on it in any way.
+	Threads int
 	// Tracer receives an "sa" stage span — the same stage name the inline
 	// annealer emits, so per-stage runtime attribution stays comparable
 	// across chain counts — with one aggregate SA sample per chain plus
@@ -88,7 +89,7 @@ func Portfolio(ctx context.Context, n *circuit.Netlist, saOpt anneal.Options, po
 		err   error
 	}
 	results := make([]chainResult, chains)
-	popt.Pool.Run(chains, func(c int) {
+	par.Run(popt.Threads, chains, func(c int) {
 		if err := ctx.Err(); err != nil {
 			results[c] = chainResult{err: err}
 			return

@@ -3,12 +3,12 @@ package refine_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/anneal"
 	"repro/internal/circuit"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/refine"
 )
 
@@ -35,27 +35,25 @@ func placementBytes(t *testing.T, n *circuit.Netlist, p *circuit.Placement) []by
 }
 
 // The portfolio reduction is a pure function of the chain results, and the
-// chains are seed-isolated, so any pool — nil (sequential), smaller than
-// the chain count, larger than it — must produce identical bytes.
+// chains are seed-isolated, so any thread count — 1 (sequential), fewer
+// than the chains, more than them — must produce identical bytes.
 func TestPortfolioByteIdenticalAcrossPools(t *testing.T) {
 	n := testNetlist(t, 24)
 	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		pool := par.NewPool(workers)
+	for _, threads := range []int{1, 2, 8} {
 		p, stats, err := refine.Portfolio(context.Background(), n, fastSA(21),
-			refine.PortfolioOptions{Chains: 5, Pool: pool})
-		pool.Close()
+			refine.PortfolioOptions{Chains: 5, Threads: threads})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("threads=%d: %v", threads, err)
 		}
 		if stats.Proposals == 0 {
-			t.Fatalf("workers=%d: no proposals recorded", workers)
+			t.Fatalf("threads=%d: no proposals recorded", threads)
 		}
 		got := placementBytes(t, n, p)
 		if want == nil {
 			want = got
 		} else if !bytes.Equal(want, got) {
-			t.Errorf("workers=%d: placement bytes differ from workers=1", workers)
+			t.Errorf("threads=%d: placement bytes differ from threads=1", threads)
 		}
 	}
 }
@@ -98,12 +96,17 @@ func TestPortfolioNeverWorseThanChainZero(t *testing.T) {
 	}
 }
 
+// A canceled portfolio returns the context's error, whether its chains
+// run in turn or on their own goroutines.
 func TestPortfolioCanceled(t *testing.T) {
 	n := testNetlist(t, 24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := refine.Portfolio(ctx, n, fastSA(21), refine.PortfolioOptions{Chains: 3}); err == nil {
-		t.Error("canceled portfolio returned nil error")
+	for _, threads := range []int{0, 3} {
+		_, _, err := refine.Portfolio(ctx, n, fastSA(21), refine.PortfolioOptions{Chains: 3, Threads: threads})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("threads=%d: canceled portfolio returned %v, want context.Canceled", threads, err)
+		}
 	}
 }
 

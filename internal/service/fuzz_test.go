@@ -60,6 +60,14 @@ func FuzzValidate(f *testing.F) {
 		if spec.Netlist == nil {
 			t.Fatalf("accepted %s without a netlist", body)
 		}
+		for _, v := range []int{req.Portfolio, req.Chains} {
+			if v < 0 || v > maxWidth {
+				t.Fatalf("accepted portfolio %d, chains %d outside [0, %d]", req.Portfolio, req.Chains, maxWidth)
+			}
+		}
+		if req.Mu < 0 {
+			t.Fatalf("accepted negative mu %g", req.Mu)
+		}
 		if gen.IsSpec(req.Circuit) {
 			if p, err := gen.ParseSpec(req.Circuit); err != nil || p.Devices > maxGenDevices {
 				t.Fatalf("accepted circuit %q over the %d-device limit (%v)", req.Circuit, maxGenDevices, err)

@@ -203,16 +203,16 @@ func TestNonFiniteGaugeKeepsMetricsEncodable(t *testing.T) {
 	}
 }
 
-// TestExplicitThreadsReachCore checks a request that pins its thread count
-// on a manager without a shared pool. The count reaches core, which builds
-// the SA chain pool, so a 4-chain SA job at threads 2 returns the bytes of
-// core.Place at one thread. The manager exports no par_ series, and an
-// eplace-a job's kernel timings reach placer_kernel_seconds through the
-// SpanSink on its tracer. Under the race detector the SA leg, about a
-// minute of annealing there, is left out; core's TestThreadCountByteIdentity
-// covers the chain pool raced.
+// TestExplicitThreadsReachCore checks a request that pins its thread count.
+// The count reaches core, which runs up to that many SA chains at once, so
+// a 4-chain SA job at threads 2 returns the bytes of core.Place at one
+// thread. The manager exports no par_ series, and an eplace-a job's kernel
+// timings reach placer_kernel_seconds through the SpanSink on its tracer.
+// Under the race detector the SA leg, about a minute of annealing there,
+// is left out; core's TestThreadCountByteIdentity covers the chain fan-out
+// raced.
 func TestExplicitThreadsReachCore(t *testing.T) {
-	m := NewManager(Config{Workers: 1, QueueCap: 2, Threads: 1}) // no shared pool
+	m := NewManager(Config{Workers: 1, QueueCap: 2, Threads: 1})
 	defer drain(t, m)
 	ep, err := m.Submit(SubmitRequest{Circuit: "Adder", Method: "eplace-a", Seed: 1, Portfolio: 1, Threads: 2})
 	if err != nil {

@@ -150,7 +150,8 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, Runner: blockingRunner(entered, release)})
 
 	// 400: malformed and invalid bodies.
-	for _, body := range []string{`{`, `{"bogus_field":1}`, `{"circuit":"NoSuch"}`, `{}`} {
+	for _, body := range []string{`{`, `{"bogus_field":1}`, `{"circuit":"NoSuch"}`, `{}`,
+		`{"circuit":"Adder","portfolio":-1}`} {
 		if _, resp := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}

@@ -24,11 +24,10 @@
 // identical resubmission is served from the cache byte-for-byte without
 // touching the solvers.
 //
-// SA parallelism: the manager owns one machine-sized par.Pool shared by
-// all workers (core.Options.Pool), on which SA portfolio chains run; a
-// request that pins an explicit thread count passes it on as
-// core.Options.Threads, and core builds a chain pool of that size. The
-// eplace-a and prev flows run single-threaded either way.
+// SA parallelism: every job reaches core.Options.Threads with a thread
+// count, the request's or else Config.Threads, and core runs up to that
+// many of the job's SA portfolio chains at once, each on its own
+// goroutine. The eplace-a and prev flows run single-threaded either way.
 package service
 
 import (
@@ -51,7 +50,6 @@ import (
 	"repro/internal/netio"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
-	"repro/internal/par"
 	"repro/internal/refine"
 	"repro/internal/rescache"
 	"repro/internal/sched"
@@ -111,11 +109,10 @@ type SubmitRequest struct {
 	// Refined results are never worse than unrefined at the same seed.
 	Refine        bool `json:"refine,omitempty"`
 	RefineWindows int  `json:"refine_windows,omitempty"`
-	// Threads overrides the worker count of the job's SA chain pool; the
+	// Threads is how many of the job's SA chains may run at once; the
 	// eplace-a and prev flows run single-threaded. Placement bits are
 	// identical at every value; only runtime changes. 0 (the default)
-	// runs SA chains on the manager's shared machine-sized pool; an
-	// explicit positive value builds a pool of that size for the job.
+	// takes the manager's Config.Threads.
 	Threads int `json:"threads,omitempty"`
 
 	// BaseJob re-places this (possibly edited) netlist against a finished
@@ -151,12 +148,6 @@ type JobSpec struct {
 
 	// Priority is the parsed scheduling class from Req.Priority.
 	Priority sched.Priority
-
-	// Pool, when non-nil, is the manager's shared pool, handed to
-	// core.Options.Pool so SA chains skip per-call pool setup. It is nil
-	// for a request pinning an explicit thread count, whose Req.Threads
-	// sizes a chain pool core builds for the job.
-	Pool *par.Pool
 
 	// Warm, when non-nil, is the resolved warm start (ECO re-place) for
 	// the job; WarmCost is its scheduling cost — one plus the perturbed
@@ -202,7 +193,6 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, tracer *obs.Tracer) (*Job
 		Portfolio:  spec.Req.Portfolio,
 		Chains:     spec.Req.Chains,
 		Threads:    spec.Req.Threads,
-		Pool:       spec.Pool,
 		Tracer:     tracer,
 	}
 	if spec.Req.Refine {
@@ -342,23 +332,21 @@ type Config struct {
 	// DefaultTimeout caps jobs whose request sets no timeout_sec (0 = no
 	// limit).
 	DefaultTimeout time.Duration
-	// Threads sizes the manager's shared SA chain pool and fills
-	// zero-valued request thread counts (0 sizes the pool to
-	// runtime.NumCPU(); 1 disables the shared pool, running chains one
-	// after another). Placement bits do not depend on it.
+	// Threads fills zero-valued request thread counts: how many of a
+	// job's SA chains may run at once (0 leaves it to core, which takes
+	// runtime.NumCPU(); 1 runs the chains one after another). Placement
+	// bits do not depend on it.
 	Threads int
 	// Runner executes jobs (default DefaultRunner).
 	Runner Runner
 }
 
-// Manager owns the job table, the fair scheduler, the result cache, the
-// shared SA chain pool, and the worker pool.
+// Manager owns the job table, the fair scheduler, the result cache and
+// the worker pool.
 type Manager struct {
 	cfg     Config
 	sched   *sched.Queue
 	cache   *rescache.Cache // nil when caching is disabled
-	pool    *par.Pool       // shared SA chain pool; nil runs chains in turn
-	poolEnd sync.Once       // closes pool after the last worker exits
 	wg      sync.WaitGroup
 	started time.Time
 
@@ -396,15 +384,6 @@ func NewManager(cfg Config) *Manager {
 		jobs:    map[string]*Job{},
 		reg:     metrics.New(),
 	}
-	// One machine-sized SA chain pool shared by every worker: par.Pool
-	// supports concurrent Run calls, and the chains' results do not depend
-	// on which worker runs them, so sharing changes scheduling but never
-	// bits. NewPool returns nil for sizes <= 1 (chains then run in turn).
-	poolSize := cfg.Threads
-	if poolSize == 0 {
-		poolSize = runtime.NumCPU()
-	}
-	m.pool = par.NewPool(poolSize)
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
@@ -416,6 +395,11 @@ func NewManager(cfg Config) *Manager {
 // names. It is what the request body limit already admits inline: the
 // netlist JSON of gen:16384@1 is 8,194,262 bytes, under DefaultMaxBody.
 const maxGenDevices = 16384
+
+// maxWidth bounds a request's threads, chains and portfolio, so that one
+// request cannot make a job allocate for, start or run an unbounded number
+// of SA chains or ePlace-A candidates.
+const maxWidth = 64
 
 // Validate resolves and checks a submission, returning the runnable spec.
 func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
@@ -436,22 +420,23 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 	if req.TimeoutSec < 0 {
 		return nil, fmt.Errorf("service: negative timeout_sec %g", req.TimeoutSec)
 	}
-	if req.Threads < 0 {
-		return nil, fmt.Errorf("service: negative threads %d", req.Threads)
-	}
-	// Bound the chain pool one request can make core build.
-	if req.Threads > par.MaxShards {
-		return nil, fmt.Errorf("service: threads %d exceeds the maximum %d", req.Threads, par.MaxShards)
-	}
-	if req.Chains < 0 {
-		return nil, fmt.Errorf("service: negative chains %d", req.Chains)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"threads", req.Threads}, {"chains", req.Chains}, {"portfolio", req.Portfolio}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("service: negative %s %d", f.name, f.v)
+		}
+		if f.v > maxWidth {
+			return nil, fmt.Errorf("service: %s %d exceeds the maximum %d", f.name, f.v, maxWidth)
+		}
 	}
 	if req.RefineWindows < 0 {
 		return nil, fmt.Errorf("service: negative refine_windows %d", req.RefineWindows)
 	}
-	// A zero thread count rides the manager's shared pool; an explicit
-	// count reaches core, which builds a chain pool of that size for SA.
-	sharedPool := req.Threads == 0
+	if req.Mu < 0 {
+		return nil, fmt.Errorf("service: negative mu %g", req.Mu)
+	}
 	if req.Threads == 0 {
 		req.Threads = m.cfg.Threads
 	}
@@ -485,9 +470,6 @@ func (m *Manager) validate(req SubmitRequest) (*JobSpec, error) {
 		return nil, errors.New("service: request needs a netlist document or a built-in circuit name")
 	}
 	spec := &JobSpec{Netlist: n, Method: method, Req: req, Priority: prio}
-	if sharedPool {
-		spec.Pool = m.pool
-	}
 	if err := m.resolveWarm(spec); err != nil {
 		return nil, err
 	}
@@ -928,9 +910,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
-		// The shared pool outlives every worker; close it only after
-		// the last one exits (even if an earlier Drain call timed out).
-		m.poolEnd.Do(func() { m.pool.Close() })
 		close(done)
 	}()
 	select {

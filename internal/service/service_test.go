@@ -65,6 +65,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative timeout", SubmitRequest{Circuit: "Adder", TimeoutSec: -1}, "negative timeout"},
 		{"negative threads", SubmitRequest{Circuit: "Adder", Threads: -2}, "negative threads"},
 		{"too many threads", SubmitRequest{Circuit: "Adder", Threads: 100000000}, "threads 100000000 exceeds the maximum 64"},
+		{"negative chains", SubmitRequest{Circuit: "Adder", Chains: -1}, "negative chains -1"},
+		{"too many chains", SubmitRequest{Circuit: "Adder", Chains: 1 << 30}, "chains 1073741824 exceeds the maximum 64"},
+		{"negative portfolio", SubmitRequest{Circuit: "Adder", Portfolio: -1}, "negative portfolio -1"},
+		{"too many portfolio", SubmitRequest{Circuit: "Adder", Portfolio: 65}, "portfolio 65 exceeds the maximum 64"},
+		{"negative mu", SubmitRequest{Circuit: "Adder", Mu: -0.5}, "negative mu -0.5"},
 		{"oversized gen", SubmitRequest{Circuit: "gen:16385@1"}, "over the 16384-device limit"},
 	}
 	for _, tc := range cases {
