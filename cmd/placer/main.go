@@ -49,10 +49,8 @@ func main() {
 		refine    = flag.Bool("refine", false, "append the ILP large-neighborhood refinement stage (never worsens HPWL or area)")
 		refineWin = flag.Int("refine-windows", 0, "refinement window budget (0 = about two sweeps); implies nothing unless -refine is set")
 
-		warmStart    = flag.String("warm-start", "", "prior placement JSON: run an incremental (ECO) re-solve anchored to it")
-		warmBase     = flag.String("warm-base", "", "netlist the -warm-start placement was solved for (file, built-in, or gen: spec; default: the input netlist)")
-		anchorWeight = flag.Float64("anchor-weight", 0, "initial anchor-pseudonet force as a fraction of the wirelength force (0 = default 0.3)")
-		anchorGrowth = flag.Float64("anchor-growth", 0, "per-iteration anchor weight growth (0 = default 1.03)")
+		warmStart = flag.String("warm-start", "", "prior placement JSON: run an incremental (ECO) re-solve anchored to it")
+		warmBase  = flag.String("warm-base", "", "netlist the -warm-start placement was solved for (file, built-in, or gen: spec; default: the input netlist)")
 
 		tracePath  = flag.String("trace", "", "write a JSONL telemetry trace (spans, solver iterations, counters) here")
 		verbose    = flag.Bool("v", false, "periodic human-readable progress on stderr")
@@ -109,7 +107,6 @@ func main() {
 		seed: *seed, threads: *threads, perf: *perf, dumpNet: *dumpNet,
 		chains: *chains, refine: *refine, refineWindows: *refineWin,
 		warmStart: *warmStart, warmBase: *warmBase,
-		anchorWeight: *anchorWeight, anchorGrowth: *anchorGrowth,
 		tracer: tracer,
 	})
 	if cerr := tracer.Close(); cerr != nil && err == nil {
@@ -135,8 +132,6 @@ type runConfig struct {
 	refine               bool
 	refineWindows        int
 	warmStart, warmBase  string
-	anchorWeight         float64
-	anchorGrowth         float64
 	tracer               *obs.Tracer
 }
 
@@ -266,15 +261,11 @@ func loadWarmStart(n *circuit.Netlist, cfg runConfig) (*core.WarmStart, error) {
 			return nil, fmt.Errorf("-warm-base %s: %w", cfg.warmBase, err)
 		}
 	}
-	prior, err := netio.PlacementForNetlistStrict(base, doc)
+	prior, err := netio.PlacementForNetlist(base, doc)
 	if err != nil {
 		return nil, err
 	}
-	ws := &core.WarmStart{
-		Placement:    prior,
-		AnchorWeight: cfg.anchorWeight,
-		AnchorGrowth: cfg.anchorGrowth,
-	}
+	ws := &core.WarmStart{Placement: prior}
 	if cfg.warmBase != "" {
 		ws.Base = base
 	}

@@ -166,7 +166,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	d := analyze.Diff(analyze.Summarize(ta), analyze.Summarize(tb),
-		analyze.DiffOptions{HPWLTol: *hpwlTol, TimeTol: *timeTol})
+		analyze.Tolerances{HPWLTol: *hpwlTol, TimeTol: *timeTol})
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -57,31 +57,12 @@ type Options struct {
 	// reduced so the search polishes rather than re-explores, on a third
 	// of the move budget. Nil reproduces the blessed cold-start behavior
 	// exactly.
-	Warm *Warm
+	Warm *circuit.Prior
 }
 
-// Warm is the prior placement mapped onto this netlist.
-type Warm struct {
-	// X, Y are per-device prior coordinates. Devices with
-	// Valid[i] == false have no usable prior position; nil Valid means
-	// every coordinate is usable.
-	X, Y  []float64
-	Valid []bool
-	// Anchored marks devices charged for drifting from (X[i], Y[i]).
-	Anchored []bool
-	// Weight is the displacement term's share of the normalized cost
-	// (default 0.3).
-	Weight float64
-}
-
-func (w *Warm) weight() float64 {
-	if w.Weight == 0 {
-		return 0.3
-	}
-	return w.Weight
-}
-
-func (w *Warm) valid(i int) bool { return w.Valid == nil || w.Valid[i] }
+// warmWeight is a warm run's displacement term's share of the normalized
+// cost.
+const warmWeight = 0.3
 
 func (o *Options) defaults(n int) {
 	if o.Moves == 0 {
@@ -334,8 +315,8 @@ type evaluator struct {
 	normArea float64
 	normWL   float64
 
-	// Warm-start displacement term (nil when cold).
-	warm      *Warm
+	// Warm-start displacement term (nil when cold or nothing is anchored).
+	warm      *circuit.Prior
 	warmScale float64 // normalizing length: sqrt(total device area)
 	warmCount int     // anchored device count
 }
@@ -350,12 +331,7 @@ func newEvaluator(n *circuit.Netlist, opt *Options) *evaluator {
 		normArea: math.Max(n.TotalDeviceArea(), 1),
 	}
 	if w := opt.Warm; w != nil {
-		for _, a := range w.Anchored {
-			if a {
-				ev.warmCount++
-			}
-		}
-		if ev.warmCount > 0 {
+		if ev.warmCount = w.AnchorCount(); ev.warmCount > 0 {
 			ev.warm = w
 			ev.warmScale = math.Sqrt(ev.normArea)
 		}
@@ -402,7 +378,7 @@ func (ev *evaluator) cost(s *state) float64 {
 			}
 			disp += math.Abs(ev.place.X[i]-ev.warm.X[i]) + math.Abs(ev.place.Y[i]-ev.warm.Y[i])
 		}
-		c += ev.warm.weight() * disp / (ev.warmScale * float64(ev.warmCount))
+		c += warmWeight * disp / (ev.warmScale * float64(ev.warmCount))
 	}
 	if ev.opt.Perf != nil && ev.opt.PerfWeight != 0 {
 		c += ev.opt.PerfWeight * ev.opt.Perf.Prob(ev.n, ev.place)
@@ -597,7 +573,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options) (*circuit.Place
 // the classic placement→sequence-pair mapping (a macro up-left of another
 // precedes it in Γ+ only; down-left precedes in both). Macros with no
 // usable prior coordinate (all-new devices) pack last, in index order.
-func warmSeqpair(macros []*macro, w *Warm) *seqpair.Pair {
+func warmSeqpair(macros []*macro, w *circuit.Prior) *seqpair.Pair {
 	nm := len(macros)
 	type ck struct {
 		ok     bool
@@ -608,7 +584,7 @@ func warmSeqpair(macros []*macro, w *Warm) *seqpair.Pair {
 		var sx, sy float64
 		cnt := 0
 		for _, d := range m.devices {
-			if !w.valid(d) {
+			if !w.ValidAt(d) {
 				continue
 			}
 			sx += w.X[d]
@@ -649,7 +625,7 @@ func warmSeqpair(macros []*macro, w *Warm) *seqpair.Pair {
 // frozenMacros marks macros every one of whose devices is anchored: their
 // internal arrangement is already known-good, so only sequence-pair moves
 // may touch them.
-func frozenMacros(macros []*macro, w *Warm) []bool {
+func frozenMacros(macros []*macro, w *circuit.Prior) []bool {
 	if w.Anchored == nil {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/gen"
 	"repro/internal/geom"
 )
 
@@ -229,5 +230,67 @@ func BenchmarkPlaceSmall(b *testing.B) {
 		if _, _, err := Place(context.Background(), n, Options{Seed: 1, Moves: 2000}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWarmAnchorsHoldDevices anneals a grown netlist twice from one legal
+// prior, the original's cold SA placement: once with the original's
+// devices anchored and once with the prior as initialization only. The
+// displacement cost must keep the anchored devices nearer their prior
+// positions. Only devices outside symmetry islands are measured: an island
+// whose devices are all anchored is frozen in buildMacros' row order and
+// pair sides, not the prior's, so its devices sit off their prior spots
+// whatever the cost says.
+func TestWarmAnchorsHoldDevices(t *testing.T) {
+	base := gen.Params{Devices: 24, Seed: 6}
+	n := gen.MustGenerate(base)
+	edited := gen.MustGenerate(gen.Edited(base, 1))
+	cold, _, err := Place(context.Background(), n, Options{Seed: 1, Moves: 30000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := len(edited.Devices)
+	prior := &circuit.Prior{
+		X: make([]float64, nd), Y: make([]float64, nd),
+		Valid: make([]bool, nd), Anchored: make([]bool, nd),
+	}
+	for i := range n.Devices {
+		prior.X[i], prior.Y[i] = cold.X[i], cold.Y[i]
+		prior.Valid[i], prior.Anchored[i] = true, true
+	}
+	island := make([]bool, nd)
+	for _, g := range edited.SymGroups {
+		for _, d := range g.Devices() {
+			island[d] = true
+		}
+	}
+	// moved returns the summed displacement of the anchored devices
+	// outside and inside symmetry islands.
+	moved := func(anchored []bool) (single, sym float64) {
+		w := *prior
+		w.Anchored = anchored
+		p, _, err := Place(context.Background(), edited, Options{Seed: 1, Moves: 300000, Warm: &w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range prior.Anchored {
+			if !a {
+				continue
+			}
+			d := math.Abs(p.X[i]-w.X[i]) + math.Abs(p.Y[i]-w.Y[i])
+			if island[i] {
+				sym += d
+			} else {
+				single += d
+			}
+		}
+		return single, sym
+	}
+	with, withSym := moved(prior.Anchored)
+	without, withoutSym := moved(nil)
+	t.Logf("anchored devices moved %.1f with anchors, %.1f without (in islands %.1f and %.1f)",
+		with, without, withSym, withoutSym)
+	if with >= without/4 {
+		t.Errorf("anchored devices moved %.1f with anchors, want under a quarter of %.1f without", with, without)
 	}
 }

@@ -264,6 +264,34 @@ func (p *Placement) Clone() *Placement {
 	return q
 }
 
+// Prior is a previous placement mapped onto a netlist's devices, the input
+// of an incremental (ECO) re-solve: every placer starts from its usable
+// coordinates and holds its anchored devices near them.
+type Prior struct {
+	// X, Y are per-device prior coordinates. Devices with Valid[i] false
+	// have no usable prior position; a nil Valid means every coordinate is
+	// usable.
+	X, Y  []float64
+	Valid []bool
+	// Anchored marks the devices held near (X[i], Y[i]). Nil means no
+	// anchors: the prior only initializes the solve.
+	Anchored []bool
+}
+
+// ValidAt reports whether device i has a usable prior coordinate.
+func (w *Prior) ValidAt(i int) bool { return w.Valid == nil || w.Valid[i] }
+
+// AnchorCount returns the number of anchored devices.
+func (w *Prior) AnchorCount() int {
+	n := 0
+	for _, a := range w.Anchored {
+		if a {
+			n++
+		}
+	}
+	return n
+}
+
 // DeviceRect returns the placed footprint rectangle of device i.
 func (n *Netlist) DeviceRect(p *Placement, i int) geom.Rect {
 	d := &n.Devices[i]

@@ -172,13 +172,6 @@ type WarmStart struct {
 	Base *circuit.Netlist
 	// Placement is the prior placement, indexed by Base's devices.
 	Placement *circuit.Placement
-
-	// AnchorWeight is the initial anchor force as a fraction of the
-	// wirelength force (default 0.3); AnchorGrowth its per-iteration ramp
-	// (default 1.03) — the SNIPPETS starting_anchor_weight /
-	// anchor_weight_increase schedule.
-	AnchorWeight float64
-	AnchorGrowth float64
 }
 
 // Result is the outcome of a full placement flow.
@@ -239,7 +232,7 @@ func PlaceCtx(ctx context.Context, n *circuit.Netlist, method Method, opt Option
 			return nil, err
 		}
 		r.warm = w
-		r.res.WarmAnchored, r.res.WarmPerturbed = w.anchors, w.perturbed
+		r.res.WarmAnchored, r.res.WarmPerturbed = w.prior.AnchorCount(), w.perturbed
 	}
 
 	var err error
@@ -336,9 +329,8 @@ func (r *run) placeSA() error {
 			sa.PerfWeight = 0.6
 		}
 	}
-	if w := r.warm; w != nil {
-		sa.Warm = &anneal.Warm{X: w.x, Y: w.y, Valid: w.valid,
-			Anchored: w.anchored, Weight: r.opt.WarmStart.AnchorWeight}
+	if r.warm != nil {
+		sa.Warm = &r.warm.prior
 	}
 	p, stats, err := refine.Portfolio(r.ctx, r.n, sa, refine.PortfolioOptions{
 		Chains:  r.opt.Chains,
@@ -358,7 +350,7 @@ func (r *run) placePrev() error {
 	gpOpt := override(r.opt.Prev)
 	r.inherit(shared{seed: &gpOpt.Seed, tracer: &gpOpt.Tracer})
 	if r.warm != nil {
-		gpOpt.Warm = r.warm.gp(r.opt.WarmStart)
+		gpOpt.Warm = &r.warm.prior
 	}
 	extra := perfExtra(r.opt.Perf, &gpOpt.ExtraWeight)
 	gp, err := prevwork.Place(r.ctx, r.n, gpOpt, extra)
@@ -395,7 +387,7 @@ func (r *run) placeEPlaceA() error {
 	}
 	mode := detailed.ModeIntegratedILP
 	if r.warm != nil {
-		baseGP.Warm = r.warm.gp(opt.WarmStart)
+		baseGP.Warm = &r.warm.prior
 		// The from-scratch integrated ILP dominates cold ePlace-A wall
 		// time; a warm solve exits global placement nearly legal, so the
 		// cheap two-stage legalization plus the focused window refinement
@@ -718,24 +710,12 @@ func rowLayout(n *circuit.Netlist, p *circuit.Placement, widthFactor float64) {
 }
 
 // warmPlan is a WarmStart resolved against the netlist being placed: the
-// prior coordinates mapped onto its device indices plus the diff-derived
-// anchor and focus masks.
+// prior coordinates mapped onto its device indices with the diff-derived
+// anchor mask, and the perturbed region.
 type warmPlan struct {
-	x, y     []float64
-	valid    []bool
-	anchored []bool
-	focus    []bool // the perturbed region, for the window-refinement stage
-
-	anchors   int
+	prior     circuit.Prior
+	focus     []bool // the perturbed region, for the window-refinement stage
 	perturbed int
-}
-
-// gp builds the analytical solvers' warm-start view of the plan.
-func (w *warmPlan) gp(ws *WarmStart) *eplacea.WarmStart {
-	return &eplacea.WarmStart{
-		X: w.x, Y: w.y, Valid: w.valid, Anchored: w.anchored,
-		AnchorWeight: ws.AnchorWeight, AnchorGrowth: ws.AnchorGrowth,
-	}
 }
 
 // buildWarmPlan diffs the edited netlist n against the warm start's base
@@ -754,18 +734,20 @@ func buildWarmPlan(n *circuit.Netlist, ws *WarmStart) (*warmPlan, error) {
 	if err := base.CheckSized(ws.Placement); err != nil {
 		return nil, fmt.Errorf("core: warm-start placement does not fit its base netlist: %w", err)
 	}
-	d := netio.DiffNetlists(base, n, netio.DiffOptions{})
+	d := netio.DiffNetlists(base, n)
 
 	nd := len(n.Devices)
 	w := &warmPlan{
-		x:         make([]float64, nd),
-		y:         make([]float64, nd),
-		valid:     make([]bool, nd),
-		anchored:  d.Anchored(),
+		prior: circuit.Prior{
+			X:        make([]float64, nd),
+			Y:        make([]float64, nd),
+			Valid:    make([]bool, nd),
+			Anchored: d.Anchored(),
+		},
 		focus:     d.Perturbed,
-		anchors:   d.AnchorCount(),
 		perturbed: d.PerturbedCount(),
 	}
+	pr := &w.prior
 	// Anchor pseudonets exist to hold an untouched bulk in place while the
 	// edit's influence region re-solves around it. They only earn their keep
 	// when that bulk is the clear majority of the design: pinning a scattered
@@ -773,15 +755,14 @@ func buildWarmPlan(n *circuit.Netlist, ws *WarmStart) (*warmPlan, error) {
 	// the geometric anchor ramp comes to dominate the objective before the
 	// density overflow converges. Below the threshold the warm start is kept
 	// as an initialization only, with every device free to move.
-	if w.anchors*5 < nd*3 {
-		w.anchored = nil
-		w.anchors = 0
+	if pr.AnchorCount()*5 < nd*3 {
+		pr.Anchored = nil
 	}
 	for i, bi := range d.BaseIndex {
 		if bi >= 0 {
-			w.valid[i] = true
-			w.x[i] = ws.Placement.X[bi]
-			w.y[i] = ws.Placement.Y[bi]
+			pr.Valid[i] = true
+			pr.X[i] = ws.Placement.X[bi]
+			pr.Y[i] = ws.Placement.Y[bi]
 		}
 	}
 	// Added devices: centroid of prior-placed neighbors through local nets
@@ -790,7 +771,7 @@ func buildWarmPlan(n *circuit.Netlist, ws *WarmStart) (*warmPlan, error) {
 	for pass := 0; pass < 2; pass++ {
 		resolved := 0
 		for i := range n.Devices {
-			if w.valid[i] {
+			if pr.Valid[i] {
 				resolved++
 			}
 		}
@@ -802,27 +783,27 @@ func buildWarmPlan(n *circuit.Netlist, ws *WarmStart) (*warmPlan, error) {
 		cnt := make([]int, nd)
 		for ni := range n.Nets {
 			net := &n.Nets[ni]
-			if pass == 0 && d.MaxFanout >= 0 && len(net.Pins) > d.MaxFanout {
+			if pass == 0 && len(net.Pins) > netio.MaxFanout {
 				continue
 			}
 			for _, pa := range net.Pins {
-				if w.valid[pa.Device] {
+				if pr.Valid[pa.Device] {
 					continue
 				}
 				for _, pb := range net.Pins {
-					if pb.Device != pa.Device && w.valid[pb.Device] {
-						sx[pa.Device] += w.x[pb.Device]
-						sy[pa.Device] += w.y[pb.Device]
+					if pb.Device != pa.Device && pr.Valid[pb.Device] {
+						sx[pa.Device] += pr.X[pb.Device]
+						sy[pa.Device] += pr.Y[pb.Device]
 						cnt[pa.Device]++
 					}
 				}
 			}
 		}
 		for i := 0; i < nd; i++ {
-			if !w.valid[i] && cnt[i] > 0 {
-				w.valid[i] = true
-				w.x[i] = sx[i] / float64(cnt[i])
-				w.y[i] = sy[i] / float64(cnt[i])
+			if !pr.Valid[i] && cnt[i] > 0 {
+				pr.Valid[i] = true
+				pr.X[i] = sx[i] / float64(cnt[i])
+				pr.Y[i] = sy[i] / float64(cnt[i])
 			}
 		}
 	}

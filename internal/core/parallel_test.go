@@ -175,6 +175,54 @@ func TestThreadCountByteIdentity(t *testing.T) {
 	}
 }
 
+// TestWarmAnchoredByteIdentity re-places a one-device growth of gen:24@6,
+// the smallest edit whose warm start keeps its anchors (at least 60 % of
+// the devices anchorable), with every method: the anchor set must be the
+// diff's, the result legal, and the bytes equal at Threads 1 and 8.
+func TestWarmAnchoredByteIdentity(t *testing.T) {
+	base := gen.Params{Devices: 24, Seed: 6}
+	n := gen.MustGenerate(base)
+	edited := gen.MustGenerate(gen.Edited(base, 1))
+	prior, err := Place(n, MethodEPlaceA, Options{Seed: 1, Threads: 1, Portfolio: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(res *Result) []byte {
+		var buf bytes.Buffer
+		if err := edited.WritePlacementJSON(&buf, res.Placement); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, m := range []Method{MethodEPlaceA, MethodPrev, MethodSA} {
+		opt := Options{
+			Seed:      1,
+			Threads:   1,
+			Chains:    4,
+			SA:        fastSA(1),
+			WarmStart: &WarmStart{Base: n, Placement: prior.Placement},
+		}
+		one, err := Place(edited, m, opt)
+		if err != nil {
+			t.Fatalf("%v threads=1: %v", m, err)
+		}
+		if one.WarmAnchored != 23 || one.WarmPerturbed != 4 {
+			t.Errorf("%v: %d anchored, %d perturbed, want 23 and 4", m, one.WarmAnchored, one.WarmPerturbed)
+		}
+		if !one.Legal {
+			t.Errorf("%v: illegal placement: %v", m, edited.CheckLegal(one.Placement, 1e-6).Err())
+		}
+		opt.Threads = 8
+		eight, err := Place(edited, m, opt)
+		if err != nil {
+			t.Fatalf("%v threads=8: %v", m, err)
+		}
+		if !bytes.Equal(render(one), render(eight)) {
+			t.Errorf("%v: anchored warm placement JSON differs between threads=1 and threads=8", m)
+		}
+	}
+}
+
 // TestSharedPoolByteIdentity covers the service configuration: several
 // placements run at once, each with its own SA chain fan-out at Threads 2.
 // Every result must be byte-identical to the sequential Threads 4 run of

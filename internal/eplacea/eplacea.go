@@ -78,63 +78,20 @@ type Options struct {
 	// re-solve: device coordinates start from a prior placement and
 	// anchored devices get anchor pseudonets. Nil reproduces the blessed
 	// cold-start behavior exactly.
-	Warm *WarmStart
+	Warm *circuit.Prior
 }
 
-// WarmStart is a prior placement mapped onto this netlist plus the anchor
-// schedule. Anchor pseudonets are quadratic pulls w·((x−ax)²+(y−ay)²)
-// toward the prior positions whose weight is calibrated against the
-// wirelength gradient and then ramps geometrically per iteration — the
-// starting_anchor_weight / anchor_weight_increase schedule of the
-// SNIPPETS analytical placers and ePlace-3D. The solve therefore stays
-// near the known-good layout except where the netlist changed.
-type WarmStart struct {
-	// X, Y are per-device initial coordinates. Devices with
-	// Valid[i] == false (e.g. newly added ones with no usable prior
-	// position) keep the default centered init; a nil Valid means every
-	// coordinate is usable.
-	X, Y  []float64
-	Valid []bool
-	// Anchored marks devices that get an anchor pseudonet to (X[i], Y[i]).
-	// Nil means no anchors (initialization-only warm start).
-	Anchored []bool
-	// AnchorWeight is the initial anchor force as a fraction of the
-	// wirelength force (default 0.3).
-	AnchorWeight float64
-	// AnchorGrowth is the per-iteration anchor weight multiplier
-	// (default 1.03).
-	AnchorGrowth float64
-}
-
-// StartWeight returns AnchorWeight with its default applied.
-func (w *WarmStart) StartWeight() float64 {
-	if w.AnchorWeight == 0 {
-		return 0.3
-	}
-	return w.AnchorWeight
-}
-
-// GrowthFactor returns AnchorGrowth with its default applied.
-func (w *WarmStart) GrowthFactor() float64 {
-	if w.AnchorGrowth == 0 {
-		return 1.03
-	}
-	return w.AnchorGrowth
-}
-
-// ValidAt reports whether device i has a usable prior coordinate.
-func (w *WarmStart) ValidAt(i int) bool { return w.Valid == nil || w.Valid[i] }
-
-// AnchorCount returns the number of anchored devices.
-func (w *WarmStart) AnchorCount() int {
-	n := 0
-	for _, a := range w.Anchored {
-		if a {
-			n++
-		}
-	}
-	return n
-}
+// The warm-start anchor schedule. Anchor pseudonets are quadratic pulls
+// w·((x−ax)²+(y−ay)²) toward the prior positions whose weight starts at
+// anchorStart of the wirelength force (see AnchorScale) and grows by
+// anchorGrowth per iteration — the starting-weight-plus-increase anchor
+// schedule of the SNIPPETS analytical placers and ePlace-3D. The solve
+// therefore stays near the known-good layout except where the netlist
+// changed.
+const (
+	anchorStart  = 0.3
+	anchorGrowth = 1.03
+)
 
 func (o *Options) defaults() {
 	if o.Util == 0 {
@@ -391,20 +348,20 @@ type solveState struct {
 // term starts at a controlled fraction of the wirelength force, the
 // standard ePlace initialization.
 func (st *solveState) calibrate() {
-	zero(st.gx)
-	zero(st.gy)
+	clear(st.gx)
+	clear(st.gy)
 	st.wlEv.Eval(st.p, st.gx, st.gy)
 	wlNorm := nlopt.Norm1(st.gx) + nlopt.Norm1(st.gy) + 1e-12
 
 	st.grid.Update(st.n, st.p)
-	zero(st.sgx)
-	zero(st.sgy)
+	clear(st.sgx)
+	clear(st.sgy)
 	st.grid.AddGrad(st.sgx, st.sgy)
 	denNorm := nlopt.Norm1(st.sgx) + nlopt.Norm1(st.sgy) + 1e-12
 	st.lambda = st.opt.Lambda0 * wlNorm / denNorm
 
-	zero(st.sgx)
-	zero(st.sgy)
+	clear(st.sgx)
+	clear(st.sgy)
 	SymPenalty(st.n, st.p, st.sgx, st.sgy)
 	symNorm := nlopt.Norm1(st.sgx) + nlopt.Norm1(st.sgy)
 	if symNorm < 1e-12 {
@@ -415,16 +372,16 @@ func (st *solveState) calibrate() {
 		st.tau *= 1000
 	}
 
-	zero(st.sgx)
-	zero(st.sgy)
+	clear(st.sgx)
+	clear(st.sgy)
 	st.areaEv.Eval(st.p, st.sgx, st.sgy)
 	areaNorm := nlopt.Norm1(st.sgx) + nlopt.Norm1(st.sgy) + 1e-12
 	st.eta = st.opt.AreaWeight * wlNorm / areaNorm
 
 	st.alpha = 0
 	if st.extra != nil {
-		zero(st.sgx)
-		zero(st.sgy)
+		clear(st.sgx)
+		clear(st.sgy)
 		st.extra(st.p, st.sgx, st.sgy)
 		exNorm := nlopt.Norm1(st.sgx) + nlopt.Norm1(st.sgy)
 		if exNorm < 1e-12 {
@@ -432,17 +389,45 @@ func (st *solveState) calibrate() {
 		}
 		st.alpha = st.opt.ExtraWeight * wlNorm / exNorm
 	}
-	if w := st.opt.Warm; w != nil {
-		if na := w.AnchorCount(); na > 0 {
-			// At a warm start the anchored devices sit exactly on their
-			// anchors, so the anchor gradient is zero and cannot be
-			// norm-calibrated like the other terms. Estimate its scale
-			// instead: a device one bin off its anchor contributes a
-			// gradient of 2·binW, so the term's L1 norm at that typical
-			// displacement is 2·binW·na.
-			st.anchorW = w.StartWeight() * wlNorm / (2 * st.binW * float64(na))
+	st.anchorW = AnchorScale(st.opt.Warm, wlNorm, st.binW)
+}
+
+// AnchorScale returns the starting anchor-pseudonet weight of a warm start,
+// or 0 when w is nil or anchors nothing. At a warm start the anchored
+// devices sit exactly on their anchors, so the anchor gradient is zero and
+// cannot be norm-calibrated like the other terms. Its scale is estimated
+// instead: a device one bin (binW) off its anchor contributes a gradient of
+// 2·binW, so the term's L1 norm at that typical displacement is 2·binW per
+// anchored device, set to anchorStart of the wirelength norm wlNorm.
+func AnchorScale(w *circuit.Prior, wlNorm, binW float64) float64 {
+	if w == nil {
+		return 0
+	}
+	na := w.AnchorCount()
+	if na == 0 {
+		return 0
+	}
+	return anchorStart * wlNorm / (2 * binW * float64(na))
+}
+
+// AnchorPenalty returns the anchor pseudonets' Σ (x−ax)²+(y−ay)² over the
+// devices w anchors, and adds weight times its gradient into gx, gy unless
+// gx is nil.
+func AnchorPenalty(w *circuit.Prior, p *circuit.Placement, weight float64, gx, gy []float64) float64 {
+	var av float64
+	for i, a := range w.Anchored {
+		if !a {
+			continue
+		}
+		dx := p.X[i] - w.X[i]
+		dy := p.Y[i] - w.Y[i]
+		av += dx*dx + dy*dy
+		if gx != nil {
+			gx[i] += weight * 2 * dx
+			gy[i] += weight * 2 * dy
 		}
 	}
+	return av
 }
 
 // schedule advances the multiplier and smoothing schedules once per
@@ -454,7 +439,7 @@ func (st *solveState) schedule(iter int) {
 		st.tau *= 1.10
 	}
 	if st.anchorW > 0 {
-		st.anchorW *= st.opt.Warm.GrowthFactor()
+		st.anchorW *= anchorGrowth
 	}
 	gamma := st.binW * (0.5 + 7.5*math.Min(st.lastOverflow, 1))
 	st.wlEv.SetGamma(gamma)
@@ -469,16 +454,16 @@ func (st *solveState) objective(x, grad []float64) float64 {
 	copy(st.p.Y, x[nd:])
 	traced := st.opt.Tracer.Enabled()
 
-	zero(st.gx)
-	zero(st.gy)
+	clear(st.gx)
+	clear(st.gy)
 	f := st.wlEv.Eval(st.p, st.gx, st.gy)
 	if traced {
 		st.gWL = norm2xy(st.gx, st.gy)
 	}
 
 	st.grid.Update(st.n, st.p)
-	zero(st.sgx)
-	zero(st.sgy)
+	clear(st.sgx)
+	clear(st.sgy)
 	st.grid.AddGrad(st.sgx, st.sgy)
 	f += st.lambda * st.grid.Energy()
 	for i := 0; i < nd; i++ {
@@ -490,8 +475,8 @@ func (st *solveState) objective(x, grad []float64) float64 {
 	}
 
 	if len(st.n.SymGroups) > 0 {
-		zero(st.sgx)
-		zero(st.sgy)
+		clear(st.sgx)
+		clear(st.sgy)
 		sp := SymPenalty(st.n, st.p, st.sgx, st.sgy)
 		f += st.tau * sp
 		for i := 0; i < nd; i++ {
@@ -505,8 +490,8 @@ func (st *solveState) objective(x, grad []float64) float64 {
 	}
 
 	if st.eta > 0 {
-		zero(st.sgx)
-		zero(st.sgy)
+		clear(st.sgx)
+		clear(st.sgy)
 		av := st.areaEv.Eval(st.p, st.sgx, st.sgy)
 		f += st.eta * av
 		for i := 0; i < nd; i++ {
@@ -519,24 +504,12 @@ func (st *solveState) objective(x, grad []float64) float64 {
 	}
 
 	if st.anchorW > 0 {
-		w := st.opt.Warm
-		var av float64
-		for i := 0; i < nd; i++ {
-			if !w.Anchored[i] {
-				continue
-			}
-			dx := st.p.X[i] - w.X[i]
-			dy := st.p.Y[i] - w.Y[i]
-			av += dx*dx + dy*dy
-			st.gx[i] += st.anchorW * 2 * dx
-			st.gy[i] += st.anchorW * 2 * dy
-		}
-		f += st.anchorW * av
+		f += st.anchorW * AnchorPenalty(st.opt.Warm, st.p, st.anchorW, st.gx, st.gy)
 	}
 
 	if st.extra != nil {
-		zero(st.sgx)
-		zero(st.sgy)
+		clear(st.sgx)
+		clear(st.sgy)
 		ev := st.extra(st.p, st.sgx, st.sgy)
 		f += st.alpha * ev
 		for i := 0; i < nd; i++ {
@@ -610,7 +583,7 @@ func OptimalAxis(n *circuit.Netlist, p *circuit.Placement, gi int) float64 {
 // overwrites every device it has a usable coordinate for (the jitter draws
 // still happen for every device, so the rng stream is identical either
 // way) and clamps into the possibly different region.
-func Start(n *circuit.Netlist, region geom.Rect, seed int64, warm *WarmStart) *circuit.Placement {
+func Start(n *circuit.Netlist, region geom.Rect, seed int64, warm *circuit.Prior) *circuit.Placement {
 	rng := rand.New(rand.NewSource(seed))
 	p := circuit.NewPlacement(n)
 	side := region.W()
@@ -648,12 +621,6 @@ func clampInto(n *circuit.Netlist, p *circuit.Placement, region geom.Rect) {
 		d := &n.Devices[i]
 		p.X[i] = geom.Interval{Lo: region.Lo.X + d.W/2, Hi: region.Hi.X - d.W/2}.Clamp(p.X[i])
 		p.Y[i] = geom.Interval{Lo: region.Lo.Y + d.H/2, Hi: region.Hi.Y - d.H/2}.Clamp(p.Y[i])
-	}
-}
-
-func zero(v []float64) {
-	for i := range v {
-		v[i] = 0
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -175,7 +176,7 @@ func (m *Model) buildGraph() {
 			m.adj[i] = append(m.adj[i], j)
 		}
 		// Deterministic order.
-		sortInts(m.adj[i])
+		slices.Sort(m.adj[i])
 		if len(m.adj[i]) > 0 {
 			m.invD[i] = 1 / float64(len(m.adj[i]))
 		}
@@ -186,14 +187,6 @@ func (m *Model) buildGraph() {
 		f[2] = float64(deg[i]) / 8
 		f[3+int(d.Type)] = 1
 		m.feat[i] = f
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }
 

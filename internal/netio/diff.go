@@ -10,32 +10,17 @@ import (
 	"repro/internal/circuit"
 )
 
-// DiffOptions tunes the netlist diff used to derive warm-start anchor
-// sets. The zero value means defaults.
-type DiffOptions struct {
-	// Radius is how many net hops the perturbed region expands beyond the
-	// devices whose local context changed (default 1). Negative means no
-	// expansion: only changed/added devices are perturbed.
-	Radius int
-	// MaxFanout bounds which nets count as local connectivity. Nets with
-	// more pins (supply rails, global biases) are treated as global: they
-	// neither enter a device's context hash nor propagate perturbation —
-	// otherwise one new device on vdd would mark every device on the rail
-	// as changed and no anchors would survive. Default 10 (analog signal
-	// nets are small; ten-plus pins means a rail, bus, or bias
-	// distribution); negative means unlimited.
-	MaxFanout int
-}
+// MaxFanout bounds which nets count as local connectivity. Nets with more
+// pins (supply rails, global biases) are treated as global: they neither
+// enter a device's context hash nor propagate perturbation — otherwise one
+// new device on vdd would mark every device on the rail as changed and no
+// anchors would survive. Analog signal nets are small; ten-plus pins means
+// a rail, bus, or bias distribution.
+const MaxFanout = 10
 
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.Radius == 0 {
-		o.Radius = 1
-	}
-	if o.MaxFanout == 0 {
-		o.MaxFanout = 10
-	}
-	return o
-}
+// radius is how many net hops the perturbed region expands beyond the
+// devices whose local context changed.
+const radius = 1
 
 // Diff classifies the devices of an edited netlist against a base
 // netlist. Devices are matched by name; a matched device is unchanged
@@ -43,7 +28,7 @@ func (o DiffOptions) withDefaults() DiffOptions {
 // of its low-fanout incident nets (net names excluded, so pure renames
 // are invisible), and its constraint neighborhoods — is identical in both
 // netlists. The perturbed region is the changed/added set expanded
-// Radius hops through low-fanout nets of the edited netlist; removals
+// radius hops through low-fanout nets of the edited netlist; removals
 // perturb implicitly because the surviving members of the touched nets
 // see a changed membership list.
 type Diff struct {
@@ -59,10 +44,6 @@ type Diff struct {
 	Added   int // edited devices with no base counterpart
 	Removed int // base devices with no edited counterpart
 	Changed int // matched devices whose context hash differs
-
-	// MaxFanout is the local-net fanout bound the diff ran with
-	// (DiffOptions.MaxFanout, default applied).
-	MaxFanout int
 }
 
 // Anchored returns the per-device anchor mask: matched devices outside
@@ -74,17 +55,6 @@ func (d *Diff) Anchored() []bool {
 		out[i] = bi >= 0 && !d.Perturbed[i]
 	}
 	return out
-}
-
-// AnchorCount returns the number of anchored devices.
-func (d *Diff) AnchorCount() int {
-	n := 0
-	for i, bi := range d.BaseIndex {
-		if bi >= 0 && !d.Perturbed[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // PerturbedCount returns the number of perturbed devices.
@@ -99,10 +69,9 @@ func (d *Diff) PerturbedCount() int {
 }
 
 // DiffNetlists diffs edited against base. Both netlists must be valid.
-func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
-	opt = opt.withDefaults()
-	baseHash := contextHashes(base, opt.MaxFanout)
-	editHash := contextHashes(edited, opt.MaxFanout)
+func DiffNetlists(base, edited *circuit.Netlist) *Diff {
+	baseHash := contextHashes(base)
+	editHash := contextHashes(edited)
 
 	baseIdx := make(map[string]int, len(base.Devices))
 	for i := range base.Devices {
@@ -114,7 +83,6 @@ func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
 		BaseIndex: make([]int, nd),
 		Unchanged: make([]bool, nd),
 		Perturbed: make([]bool, nd),
-		MaxFanout: opt.MaxFanout,
 	}
 	matched := 0
 	for i := range edited.Devices {
@@ -137,11 +105,10 @@ func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
 	d.Removed = len(base.Devices) - matched
 
 	// Expand the perturbed region through the edited netlist's local nets.
-	for hop := 0; hop < opt.Radius; hop++ {
-		grew := false
+	for hop := 0; hop < radius; hop++ {
 		for ni := range edited.Nets {
 			net := &edited.Nets[ni]
-			if opt.MaxFanout >= 0 && len(net.Pins) > opt.MaxFanout {
+			if len(net.Pins) > MaxFanout {
 				continue
 			}
 			hit := false
@@ -155,14 +122,8 @@ func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
 				continue
 			}
 			for _, pr := range net.Pins {
-				if !d.Perturbed[pr.Device] {
-					d.Perturbed[pr.Device] = true
-					grew = true
-				}
+				d.Perturbed[pr.Device] = true
 			}
-		}
-		if !grew {
-			break
 		}
 	}
 	return d
@@ -172,7 +133,7 @@ func DiffNetlists(base, edited *circuit.Netlist, opt DiffOptions) *Diff {
 // record itself, the canonical membership of its low-fanout incident
 // nets, and its constraint neighborhoods. Net names are deliberately
 // excluded so renaming a net changes nothing.
-func contextHashes(n *circuit.Netlist, maxFanout int) [][32]byte {
+func contextHashes(n *circuit.Netlist) [][32]byte {
 	nd := len(n.Devices)
 	lines := make([][]string, nd)
 	for i := range n.Devices {
@@ -185,7 +146,7 @@ func contextHashes(n *circuit.Netlist, maxFanout int) [][32]byte {
 	}
 	for ni := range n.Nets {
 		net := &n.Nets[ni]
-		if maxFanout >= 0 && len(net.Pins) > maxFanout {
+		if len(net.Pins) > MaxFanout {
 			continue
 		}
 		members := make([]string, 0, len(net.Pins))
@@ -277,51 +238,27 @@ func FingerprintPlacement(n *circuit.Netlist, p *circuit.Placement) [32]byte {
 }
 
 // PlacementForNetlist binds a placement document to netlist n by device
-// name. It returns the placement, a per-device matched mask, and an error
-// only when the document shares no devices with n (almost certainly the
-// wrong file). Unmatched devices sit at the origin; callers use the mask.
+// name. Every device of n must be in the document — the contract for a
+// warm-start base placement, which must cover its base netlist completely.
 // Axis coordinates are copied when the group count matches and re-derived
-// from the matched pair positions otherwise.
-func PlacementForNetlist(n *circuit.Netlist, doc *circuit.PlacementDoc) (*circuit.Placement, []bool, error) {
+// from the pair positions otherwise.
+func PlacementForNetlist(n *circuit.Netlist, doc *circuit.PlacementDoc) (*circuit.Placement, error) {
 	p := circuit.NewPlacement(n)
-	matched := make([]bool, len(n.Devices))
-	hits := 0
 	for i := range n.Devices {
 		di, ok := doc.Device(n.Devices[i].Name)
 		if !ok {
-			continue
+			return nil, fmt.Errorf("netio: placement for %q is missing device %q of netlist %q",
+				doc.Design, n.Devices[i].Name, n.Name)
 		}
-		matched[i] = true
-		hits++
 		p.X[i] = doc.X[di]
 		p.Y[i] = doc.Y[di]
 		p.FlipX[i] = doc.FlipX[di]
 		p.FlipY[i] = doc.FlipY[di]
 	}
-	if hits == 0 {
-		return nil, nil, fmt.Errorf("netio: placement for %q shares no devices with netlist %q", doc.Design, n.Name)
-	}
 	if len(doc.AxesX) == len(n.SymGroups) {
 		copy(p.AxisX, doc.AxesX)
 	} else {
 		n.ResolveAxes(p)
-	}
-	return p, matched, nil
-}
-
-// PlacementForNetlistStrict is PlacementForNetlist requiring every device
-// of n to be present in the document — the contract for a warm-start base
-// placement, which must cover its base netlist completely.
-func PlacementForNetlistStrict(n *circuit.Netlist, doc *circuit.PlacementDoc) (*circuit.Placement, error) {
-	p, matched, err := PlacementForNetlist(n, doc)
-	if err != nil {
-		return nil, err
-	}
-	for i, ok := range matched {
-		if !ok {
-			return nil, fmt.Errorf("netio: placement for %q is missing device %q of netlist %q",
-				doc.Design, n.Devices[i].Name, n.Name)
-		}
 	}
 	return p, nil
 }

@@ -252,7 +252,7 @@ func Summarize(t *Trace) *Report {
 			FirstAccept: saFirst,
 			LastAccept:  saLast,
 			BestCost:    saBest,
-			Points:      downsampleSA(sa, MaxCurvePoints),
+			Points:      downsample(sa, MaxCurvePoints),
 		}
 	}
 	if t.Summary != nil {
@@ -288,23 +288,12 @@ func stageTimes(spans map[string]obs.SpanStat) []Stage {
 }
 
 // downsample keeps at most n points, always retaining the first and last.
-func downsample(pts []CurvePoint, n int) []CurvePoint {
+func downsample[T any](pts []T, n int) []T {
 	if len(pts) <= n {
 		return pts
 	}
-	out := make([]CurvePoint, 0, n)
+	out := make([]T, 0, n)
 	// Even stride over len-1 intervals; the final point is pinned.
-	for i := 0; i < n-1; i++ {
-		out = append(out, pts[i*(len(pts)-1)/(n-1)])
-	}
-	return append(out, pts[len(pts)-1])
-}
-
-func downsampleSA(pts []SAPoint, n int) []SAPoint {
-	if len(pts) <= n {
-		return pts
-	}
-	out := make([]SAPoint, 0, n)
 	for i := 0; i < n-1; i++ {
 		out = append(out, pts[i*(len(pts)-1)/(n-1)])
 	}

@@ -144,7 +144,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 		Stages: []Stage{{Path: "place/gp", SelfMS: 500}, {Path: "place/tiny", SelfMS: 0.5}}}
 	b := &Report{Name: "b", FinalHPWL: 105, WallMS: 1100,
 		Stages: []Stage{{Path: "place/gp", SelfMS: 900}, {Path: "place/tiny", SelfMS: 2}}}
-	d := Diff(a, b, DiffOptions{HPWLTol: 0.02, TimeTol: 0.25})
+	d := Diff(a, b, Tolerances{HPWLTol: 0.02, TimeTol: 0.25})
 
 	byMetric := map[string]Delta{}
 	for _, dl := range d.Deltas {
@@ -167,7 +167,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	}
 
 	// Identical reports never regress.
-	if regs := Diff(a, a, DiffOptions{}).Regressions(); len(regs) != 0 {
+	if regs := Diff(a, a, Tolerances{}).Regressions(); len(regs) != 0 {
 		t.Errorf("self-diff regressed: %+v", regs)
 	}
 
@@ -175,7 +175,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	// placement's place.hpwl_um gauge.
 	saA := &Report{Name: "sa-a", Gauges: map[string]float64{"place.hpwl_um": 18.57}}
 	saB := &Report{Name: "sa-b", Gauges: map[string]float64{"place.hpwl_um": 19.5}}
-	regs := Diff(saA, saB, DiffOptions{HPWLTol: 0.02}).Regressions()
+	regs := Diff(saA, saB, Tolerances{HPWLTol: 0.02}).Regressions()
 	if len(regs) != 1 || regs[0].Metric != "place.hpwl_um" {
 		t.Errorf("5%% SA placement HPWL increase not flagged: %+v", regs)
 	}

@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// DiffOptions sets the regression thresholds for Diff, as relative
+// Tolerances sets the regression thresholds for Diff, as relative
 // increases ((B-A)/A). Zero values select the defaults.
-type DiffOptions struct {
+type Tolerances struct {
 	// HPWLTol is the allowed relative increase in final HPWL and in the
 	// placement's place.hpwl_um gauge before the diff counts a quality
 	// regression (default 0.02 = 2%).
@@ -21,7 +21,7 @@ type DiffOptions struct {
 	MinStageMS float64
 }
 
-func (o *DiffOptions) defaults() {
+func (o *Tolerances) defaults() {
 	if o.HPWLTol == 0 {
 		o.HPWLTol = 0.02
 	}
@@ -68,7 +68,7 @@ func (d *DiffReport) Regressions() []Delta {
 // self time against TimeTol. Metrics absent from either side (a stage only
 // one run has, a method without HPWL events) are skipped — the diff
 // compares like with like.
-func Diff(a, b *Report, opt DiffOptions) *DiffReport {
+func Diff(a, b *Report, opt Tolerances) *DiffReport {
 	opt.defaults()
 	d := &DiffReport{A: a.Name, B: b.Name}
 	add := func(metric string, av, bv, tol float64) {

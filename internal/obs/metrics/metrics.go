@@ -36,6 +36,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -135,10 +136,10 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []st
 		if f.typ != typ {
 			panic(fmt.Sprintf("metrics: %s registered as %s, reused as %s", name, f.typ, typ))
 		}
-		if !equalStrings(f.keys, keys) {
+		if !slices.Equal(f.keys, keys) {
 			panic(fmt.Sprintf("metrics: %s registered with labels %v, reused with %v", name, f.keys, keys))
 		}
-		if typ == typeHistogram && !equalFloats(f.buckets, buckets) {
+		if typ == typeHistogram && !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("metrics: %s registered with buckets %v, reused with %v", name, f.buckets, buckets))
 		}
 	}
@@ -329,28 +330,4 @@ func SizeClass(devices int) string {
 	default:
 		return "xl"
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

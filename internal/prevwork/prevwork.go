@@ -58,11 +58,11 @@ type Options struct {
 	// Warm, when non-nil, turns the run into an incremental (ECO)
 	// re-solve: device coordinates start from the prior placement and
 	// anchored devices get quadratic anchor pseudonets (see
-	// eplacea.WarmStart). The anchor weight here grows by a fixed 2× per
-	// CG epoch, in step with the density weight β, rather than per
-	// iteration (AnchorGrowth is ignored). Nil reproduces the blessed
-	// cold-start behavior exactly.
-	Warm *eplacea.WarmStart
+	// eplacea.AnchorPenalty). The anchor weight starts as eplace-a's
+	// (eplacea.AnchorScale) and doubles per CG epoch, in step with the
+	// density weight β. Nil reproduces the blessed cold-start behavior
+	// exactly.
+	Warm *circuit.Prior
 }
 
 func (o *Options) defaults() {
@@ -138,27 +138,22 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	gy := make([]float64, nd)
 	sgx := make([]float64, nd)
 	sgy := make([]float64, nd)
-	zero := func(v []float64) {
-		for i := range v {
-			v[i] = 0
-		}
-	}
 
 	// Calibrate the initial density and symmetry weights against the
 	// wirelength gradient, NTUplace3-style.
-	zero(gx)
-	zero(gy)
+	clear(gx)
+	clear(gy)
 	wlEv.Eval(p, gx, gy)
 	wlNorm := nlopt.Norm1(gx) + nlopt.Norm1(gy) + 1e-12
 	bellUpdate(p)
-	zero(sgx)
-	zero(sgy)
+	clear(sgx)
+	clear(sgy)
 	bellAddGrad(sgx, sgy)
 	dNorm := nlopt.Norm1(sgx) + nlopt.Norm1(sgy) + 1e-12
 	beta := 2e-2 * wlNorm / dNorm
 
-	zero(sgx)
-	zero(sgy)
+	clear(sgx)
+	clear(sgy)
 	eplacea.SymPenalty(n, p, sgx, sgy)
 	sNorm := nlopt.Norm1(sgx) + nlopt.Norm1(sgy)
 	if sNorm < 1e-12 {
@@ -166,21 +161,12 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	}
 	tau := symWeight * wlNorm / sNorm
 
-	anchorW := 0.0
-	if w := opt.Warm; w != nil {
-		if na := w.AnchorCount(); na > 0 {
-			// The anchored devices start exactly on their anchors, so the
-			// anchor gradient is zero here and cannot be norm-calibrated;
-			// estimate the term's scale at a typical one-bin displacement
-			// (gradient 2·binW per device) instead.
-			anchorW = w.StartWeight() * wlNorm / (2 * binW * float64(na))
-		}
-	}
+	anchorW := eplacea.AnchorScale(opt.Warm, wlNorm, binW)
 
 	alpha := 0.0
 	if extra != nil {
-		zero(sgx)
-		zero(sgy)
+		clear(sgx)
+		clear(sgy)
 		extra(p, sgx, sgy)
 		exNorm := nlopt.Norm1(sgx) + nlopt.Norm1(sgy)
 		if exNorm < 1e-12 {
@@ -201,41 +187,31 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 	value := func(x []float64) float64 {
 		copy(p.X, x[:nd])
 		copy(p.Y, x[nd:])
-		zero(gx)
-		zero(gy)
+		clear(gx)
+		clear(gy)
 		f := wlEv.Eval(p, gx, gy)
 
 		bellUpdate(p)
 		f += beta * bell.Penalty()
 
 		if len(n.SymGroups) > 0 {
-			zero(sgx)
-			zero(sgy)
+			clear(sgx)
+			clear(sgy)
 			f += tau * eplacea.SymPenalty(n, p, sgx, sgy)
 		}
 		if anchorW > 0 {
-			w := opt.Warm
-			var av float64
-			for i := 0; i < nd; i++ {
-				if !w.Anchored[i] {
-					continue
-				}
-				dx := p.X[i] - w.X[i]
-				dy := p.Y[i] - w.Y[i]
-				av += dx*dx + dy*dy
-			}
-			f += anchorW * av
+			f += anchorW * eplacea.AnchorPenalty(opt.Warm, p, anchorW, nil, nil)
 		}
 		if extra != nil {
-			zero(egx)
-			zero(egy)
+			clear(egx)
+			clear(egy)
 			f += alpha * extra(p, egx, egy)
 		}
 		return f
 	}
 	grad := func(g []float64) {
 		ggx, ggy := g[:nd], g[nd:]
-		zero(g)
+		clear(g)
 		bellAddGrad(ggx, ggy)
 		for i := 0; i < nd; i++ {
 			ggx[i] = gx[i] + beta*ggx[i]
@@ -248,14 +224,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 			}
 		}
 		if anchorW > 0 {
-			w := opt.Warm
-			for i := 0; i < nd; i++ {
-				if !w.Anchored[i] {
-					continue
-				}
-				ggx[i] += anchorW * 2 * (p.X[i] - w.X[i])
-				ggy[i] += anchorW * 2 * (p.Y[i] - w.Y[i])
-			}
+			eplacea.AnchorPenalty(opt.Warm, p, anchorW, ggx, ggy)
 		}
 		if extra != nil {
 			for i := 0; i < nd; i++ {
@@ -293,8 +262,8 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra eplacea.E
 		if opt.Tracer.Enabled() {
 			copy(p.X, x[:nd])
 			copy(p.Y, x[nd:])
-			zero(sgx)
-			zero(sgy)
+			clear(sgx)
+			clear(sgy)
 			opt.Tracer.IterEvent(obs.IterRecord{
 				Solver: "prev-epoch", Iter: epoch, F: fEpoch,
 				HPWL: n.HPWL(p), Lambda: beta,

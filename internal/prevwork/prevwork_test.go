@@ -2,10 +2,12 @@ package prevwork
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/detailed"
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -152,5 +154,48 @@ func BenchmarkPrevGlobalPlace(b *testing.B) {
 		if _, err := Place(context.Background(), n, Options{Seed: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWarmAnchorsHoldDevices places a grown netlist twice from one prior,
+// the original's cold GP placement: once with the original's devices
+// anchored and once with the prior as initialization only. The anchor
+// pseudonets must keep the anchored devices nearer their prior positions.
+func TestWarmAnchorsHoldDevices(t *testing.T) {
+	base := gen.Params{Devices: 24, Seed: 6}
+	n := gen.MustGenerate(base)
+	edited := gen.MustGenerate(gen.Edited(base, 1))
+	cold, err := Place(context.Background(), n, Options{Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := len(edited.Devices)
+	prior := &circuit.Prior{
+		X: make([]float64, nd), Y: make([]float64, nd),
+		Valid: make([]bool, nd), Anchored: make([]bool, nd),
+	}
+	for i := range n.Devices {
+		prior.X[i], prior.Y[i] = cold.Placement.X[i], cold.Placement.Y[i]
+		prior.Valid[i], prior.Anchored[i] = true, true
+	}
+	moved := func(anchored []bool) float64 {
+		w := *prior
+		w.Anchored = anchored
+		res, err := Place(context.Background(), edited, Options{Seed: 1, Warm: &w}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d float64
+		for i, a := range prior.Anchored {
+			if a {
+				d += math.Abs(res.Placement.X[i]-w.X[i]) + math.Abs(res.Placement.Y[i]-w.Y[i])
+			}
+		}
+		return d
+	}
+	with, without := moved(prior.Anchored), moved(nil)
+	t.Logf("anchored devices moved %.1f with anchors, %.1f without", with, without)
+	if with >= without/4 {
+		t.Errorf("anchored devices moved %.1f with anchors, want under a quarter of %.1f without", with, without)
 	}
 }

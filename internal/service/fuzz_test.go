@@ -38,8 +38,7 @@ func FuzzValidate(f *testing.F) {
 		`{"circuit":"gen:30@2","method":"prev","seed":3,"chains":2,"refine":true,"refine_windows":4,` +
 			`"threads":2,"timeout_sec":5,"tenant":"acme","priority":"batch"}`,
 		fmt.Sprintf(`{"netlist":%s,"method":"eplace-a","portfolio":1}`, nl.Bytes()),
-		fmt.Sprintf(`{"netlist":%s,"method":"prev","base_placement":%s,"anchor_weight":0.5,"anchor_growth":1.05}`,
-			nl.Bytes(), pl.Bytes()),
+		fmt.Sprintf(`{"netlist":%s,"method":"prev","base_placement":%s}`, nl.Bytes(), pl.Bytes()),
 	} {
 		f.Add([]byte(seed))
 	}

@@ -120,16 +120,13 @@ type SubmitRequest struct {
 	// done and owned by the same manager; its netlist becomes the warm
 	// start's base. Alternatively BasePlacement (a placement JSON document)
 	// plus optionally BaseNetlist (the netlist it was solved for; default:
-	// the submitted netlist) inlines the prior placement directly. ECO
-	// jobs are charged their perturbed-region size, not the full device
-	// count, so the fair scheduler serves them at interactive weight.
+	// the submitted netlist) inlines the prior placement directly. The
+	// anchor schedule is the solvers' own; no field tunes it. ECO jobs
+	// are charged their perturbed-region size, not the full device count,
+	// so the fair scheduler serves them at interactive weight.
 	BaseJob       string          `json:"base_job,omitempty"`
 	BaseNetlist   json.RawMessage `json:"base_netlist,omitempty"`
 	BasePlacement json.RawMessage `json:"base_placement,omitempty"`
-	// AnchorWeight and AnchorGrowth tune the warm start's anchor-pseudonet
-	// schedule (0 = defaults 0.3 and 1.03). Only valid with a base.
-	AnchorWeight float64 `json:"anchor_weight,omitempty"`
-	AnchorGrowth float64 `json:"anchor_growth,omitempty"`
 
 	// Tenant identifies the submitting client for fair scheduling and
 	// quota accounting. Empty means the "default" tenant.
@@ -487,17 +484,10 @@ func (m *Manager) resolveWarm(spec *JobSpec) error {
 		if len(req.BaseNetlist) > 0 {
 			return errors.New("service: base_netlist without base_placement")
 		}
-		if req.AnchorWeight != 0 || req.AnchorGrowth != 0 {
-			return errors.New("service: anchor knobs need base_job or base_placement")
-		}
 		return nil
 	case req.BaseJob != "" && (hasInline || len(req.BaseNetlist) > 0):
 		return errors.New("service: request sets both base_job and an inline base; choose one")
 	}
-	if req.AnchorWeight < 0 || req.AnchorGrowth < 0 {
-		return fmt.Errorf("service: negative anchor knobs")
-	}
-
 	var baseNet *circuit.Netlist
 	var doc *circuit.PlacementDoc
 	if req.BaseJob != "" {
@@ -529,19 +519,15 @@ func (m *Manager) resolveWarm(spec *JobSpec) error {
 			}
 		}
 	}
-	prior, err := netio.PlacementForNetlistStrict(baseNet, doc)
+	prior, err := netio.PlacementForNetlist(baseNet, doc)
 	if err != nil {
 		return err
 	}
-	spec.Warm = &core.WarmStart{
-		Placement:    prior,
-		AnchorWeight: req.AnchorWeight,
-		AnchorGrowth: req.AnchorGrowth,
-	}
+	spec.Warm = &core.WarmStart{Placement: prior}
 	if baseNet != spec.Netlist {
 		spec.Warm.Base = baseNet
 	}
-	d := netio.DiffNetlists(baseNet, spec.Netlist, netio.DiffOptions{})
+	d := netio.DiffNetlists(baseNet, spec.Netlist)
 	spec.WarmCost = float64(1 + d.PerturbedCount())
 	return nil
 }
@@ -592,10 +578,10 @@ func cacheKeyFor(spec *JobSpec) rescache.Key {
 		strconv.Itoa(spec.Req.RefineWindows),
 	}
 	if w := spec.Warm; w != nil {
-		// A warm solve's bits depend on the base netlist, the exact base
-		// placement, and the anchor schedule — never on how the base was
-		// named (job reference vs inline), so an ECO re-submission hits the
-		// cache across either form but never collides with a cold solve.
+		// A warm solve's bits depend on the base netlist and the exact base
+		// placement — never on how the base was named (job reference vs
+		// inline), so an ECO re-submission hits the cache across either
+		// form but never collides with a cold solve.
 		baseNet := w.Base
 		if baseNet == nil {
 			baseNet = spec.Netlist
@@ -605,8 +591,6 @@ func cacheKeyFor(spec *JobSpec) rescache.Key {
 		fields = append(fields, "warm",
 			hex.EncodeToString(nfp[:]),
 			hex.EncodeToString(pfp[:]),
-			fb(w.AnchorWeight),
-			fb(w.AnchorGrowth),
 		)
 	}
 	return rescache.NewKey(netio.Fingerprint(spec.Netlist), fields...)

@@ -85,14 +85,6 @@ func TestWarmStartJob(t *testing.T) {
 	if cacheKeyFor(coldSpec).String() == cacheKeyFor(warmSpec).String() {
 		t.Errorf("cold and warm cache keys collide")
 	}
-	// Different anchor knobs are different experiments.
-	warmSpec2, err := m.validate(SubmitRequest{Netlist: editedJSON, Method: "prev", Seed: 5, BaseJob: base.ID(), AnchorWeight: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cacheKeyFor(warmSpec).String() == cacheKeyFor(warmSpec2).String() {
-		t.Errorf("anchor weight not part of the warm cache key")
-	}
 
 	// ECO jobs are priced by their perturbed region, not the device count.
 	// (At this toy size the edit perturbs nearly everything; the locality
@@ -101,7 +93,7 @@ func TestWarmStartJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := netio.DiffNetlists(baseNet, warmSpec.Netlist, netio.DiffOptions{})
+	d := netio.DiffNetlists(baseNet, warmSpec.Netlist)
 	if want := float64(1 + d.PerturbedCount()); warmSpec.WarmCost != want {
 		t.Errorf("WarmCost = %v, want 1+perturbed = %v", warmSpec.WarmCost, want)
 	}
@@ -115,8 +107,6 @@ func TestWarmStartValidation(t *testing.T) {
 	bad := []SubmitRequest{
 		// base_netlist without base_placement
 		{Netlist: baseJSON, BaseNetlist: baseJSON},
-		// anchor knobs without a base
-		{Netlist: baseJSON, AnchorWeight: 0.5},
 		// unknown base job
 		{Netlist: baseJSON, BaseJob: "no-such-job"},
 		// both base_job and inline base

@@ -79,9 +79,8 @@ func All() []*Case {
 
 // builder assembles netlists with device-kind-appropriate pin templates.
 type builder struct {
-	n       *circuit.Netlist
-	netIdx  map[string]int
-	pinName map[string]int // per device kind: pin name → index
+	n      *circuit.Netlist
+	netIdx map[string]int
 }
 
 func newBuilder(name string) *builder {

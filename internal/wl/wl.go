@@ -138,11 +138,11 @@ func (ev *Evaluator) eval(p *circuit.Placement, gradX, gradY []float64) float64 
 		var px, py []float64
 		if gradX != nil {
 			px = ev.partX
-			zero(px)
+			clear(px)
 		}
 		if gradY != nil {
 			py = ev.partY
-			zero(py)
+			clear(py)
 		}
 		total += ev.evalShard(p, lo, hi, px, py)
 		merge(gradX, px)
@@ -185,12 +185,6 @@ func (ev *Evaluator) evalShard(p *circuit.Placement, lo, hi int, gradX, gradY []
 	return total
 }
 
-func zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
 // merge adds src into dst element-wise; either may be nil (no-op).
 func merge(dst, src []float64) {
 	if dst == nil {
@@ -215,33 +209,41 @@ func (ev *Evaluator) axis(coords, grad []float64, sc *netScratch, wantGrad bool)
 }
 
 // waAxis computes the WA approximation of max(coords) - min(coords) per
-// Eq. (2), with exp-shift for numerical stability. The value pass stores
-// each pin's two exponentials in ep/em (len(coords) each) for the gradient
-// pass, so a pin costs two math.Exp calls.
+// Eq. (2); see waSpan.
 func waAxis(coords, grad, ep, em []float64, gamma float64, wantGrad bool) float64 {
-	if len(coords) == 0 {
+	return waSpan(coords, coords, grad, ep, em, gamma, wantGrad)
+}
+
+// waSpan computes the WA approximation of max(hi) - min(lo), with
+// exp-shift for numerical stability, and writes d span / d coordinate i
+// into grad when wantGrad is set (an item whose lo and hi edges move
+// together, as a net pin or a device's two edges do). The value pass
+// stores each item's two exponentials in ep/em (len(lo) each) for the
+// gradient pass, so an item costs two math.Exp calls.
+func waSpan(lo, hi, grad, ep, em []float64, gamma float64, wantGrad bool) float64 {
+	if len(lo) == 0 {
 		return 0
 	}
-	maxC, minC := coords[0], coords[0]
-	for _, c := range coords[1:] {
-		maxC = math.Max(maxC, c)
-		minC = math.Min(minC, c)
+	maxC, minC := hi[0], lo[0]
+	for i := 1; i < len(lo); i++ {
+		maxC = math.Max(maxC, hi[i])
+		minC = math.Min(minC, lo[i])
 	}
 	var sp, tp, sm, tm float64 // S+, T+, S-, T-
-	for i, c := range coords {
-		ep[i] = math.Exp((c - maxC) / gamma)
-		em[i] = math.Exp((minC - c) / gamma)
+	for i := range lo {
+		ep[i] = math.Exp((hi[i] - maxC) / gamma)
+		em[i] = math.Exp((minC - lo[i]) / gamma)
 		sp += ep[i]
-		tp += c * ep[i]
+		tp += hi[i] * ep[i]
 		sm += em[i]
-		tm += c * em[i]
+		tm += lo[i] * em[i]
 	}
 	waMax := tp / sp
 	waMin := tm / sm
 	if wantGrad {
-		for i, c := range coords {
-			dMax := (ep[i] / sp) * (1 + (c-waMax)/gamma)
-			dMin := (em[i] / sm) * (1 - (c-waMin)/gamma)
+		for i := range lo {
+			dMax := (ep[i] / sp) * (1 + (hi[i]-waMax)/gamma)
+			dMin := (em[i] / sm) * (1 - (lo[i]-waMin)/gamma)
 			grad[i] = dMax - dMin
 		}
 	}
@@ -285,6 +287,7 @@ type AreaEvaluator struct {
 	gamma float64
 
 	lo, hi []float64 // device edge coordinates, scratch
+	ep, em []float64 // per-device exponentials, scratch
 	gLo    []float64
 	gHi    []float64
 }
@@ -297,6 +300,8 @@ func NewAreaEvaluator(n *circuit.Netlist, gamma float64) *AreaEvaluator {
 		gamma: gamma,
 		lo:    make([]float64, k),
 		hi:    make([]float64, k),
+		ep:    make([]float64, k),
+		em:    make([]float64, k),
 		gLo:   make([]float64, k),
 		gHi:   make([]float64, k),
 	}
@@ -304,43 +309,6 @@ func NewAreaEvaluator(n *circuit.Netlist, gamma float64) *AreaEvaluator {
 
 // SetGamma updates the smoothing parameter.
 func (ae *AreaEvaluator) SetGamma(g float64) { ae.gamma = g }
-
-// spanAxis computes the smoothed span between max(hi) and min(lo) edge
-// coordinates, and the per-device gradient (d span / d center, noting that
-// both edges move 1:1 with the center).
-func (ae *AreaEvaluator) spanAxis(lo, hi, grad []float64, wantGrad bool) float64 {
-	k := len(lo)
-	if k == 0 {
-		return 0
-	}
-	maxC, minC := hi[0], lo[0]
-	for i := 1; i < k; i++ {
-		maxC = math.Max(maxC, hi[i])
-		minC = math.Min(minC, lo[i])
-	}
-	g := ae.gamma
-	var sp, tp, sm, tm float64
-	for i := 0; i < k; i++ {
-		ep := math.Exp((hi[i] - maxC) / g)
-		em := math.Exp((minC - lo[i]) / g)
-		sp += ep
-		tp += hi[i] * ep
-		sm += em
-		tm += lo[i] * em
-	}
-	waMax := tp / sp
-	waMin := tm / sm
-	if wantGrad {
-		for i := 0; i < k; i++ {
-			ep := math.Exp((hi[i] - maxC) / g)
-			em := math.Exp((minC - lo[i]) / g)
-			dMax := (ep / sp) * (1 + (hi[i]-waMax)/g)
-			dMin := (em / sm) * (1 - (lo[i]-waMin)/g)
-			grad[i] = dMax - dMin
-		}
-	}
-	return waMax - waMin
-}
 
 // Eval returns the smoothed area at placement p and accumulates its gradient
 // into gradX/gradY (pass nil to skip).
@@ -355,7 +323,7 @@ func (ae *AreaEvaluator) Eval(p *circuit.Placement, gradX, gradY []float64) floa
 		ae.hi[i] = p.X[i] + d.W/2
 	}
 	wantGrad := gradX != nil && gradY != nil
-	wx := ae.spanAxis(ae.lo, ae.hi, ae.gLo, wantGrad)
+	wx := waSpan(ae.lo, ae.hi, ae.gLo, ae.ep, ae.em, ae.gamma, wantGrad)
 	if wantGrad {
 		copy(ae.gHi, ae.gLo) // stash x-gradient
 	}
@@ -365,7 +333,7 @@ func (ae *AreaEvaluator) Eval(p *circuit.Placement, gradX, gradY []float64) floa
 		ae.hi[i] = p.Y[i] + d.H/2
 	}
 	gy := ae.gLo
-	wy := ae.spanAxis(ae.lo, ae.hi, gy, wantGrad)
+	wy := waSpan(ae.lo, ae.hi, gy, ae.ep, ae.em, ae.gamma, wantGrad)
 	if wantGrad {
 		for i := 0; i < k; i++ {
 			gradX[i] += ae.gHi[i] * wy
