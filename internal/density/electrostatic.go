@@ -36,6 +36,12 @@ const devGrain = 32
 // and the ξx and ξy coefficients are row scalings of the ψ coefficients
 // rather than grids of their own.
 //
+// The passes that run one line per grid row (F1, R2a and R2b) visit only
+// the row pairs the device footprints cover: ρ is zero on the others, and
+// AddGrad samples ξ only on footprint rows. So after an Update, ξ is
+// defined on the covered row pairs only; the other rows of ex and ey hold
+// whatever an earlier Update left there.
+//
 // Every pass runs inline on the calling goroutine. Rasterization keeps its
 // fixed device shards, a partial ρ grid per shard merged in shard order,
 // and the line passes their fixed pairing, so the result bits depend only
@@ -50,8 +56,8 @@ type Electrostatic struct {
 	plan *fft.Plan
 	rho  []float64 // device area density per bin (area units / bin area)
 	auv  []float64 // scaled DCT spectrum of rho (ψ coefficients, [u*m+v])
-	ex   []float64 // field x-component per bin
-	ey   []float64 // field y-component per bin
+	ex   []float64 // field x-component per bin, on covered row pairs
+	ey   []float64 // field y-component per bin, on covered row pairs
 
 	work    []float64 // scratch: half-transformed grids
 	lineE   []float64 // per-u Σ_v s·R² partials (deterministic energy)
@@ -65,6 +71,9 @@ type Electrostatic struct {
 	scale      []float64
 	xOv, yOv   []overlap
 	xOff, yOff []int
+	// covered[k] reports whether a footprint of the last Update has a y
+	// bin in row 2k or 2k+1. Every other row of ρ is zero.
+	covered []bool
 
 	// Frequency tables, built by setRegion: wu[u] = πu/(m·binW),
 	// wv[v] = πv/(m·binH), and scaleTab[u*m+v] — the DCT normalization
@@ -76,7 +85,9 @@ type Electrostatic struct {
 	scaleTab []float64
 
 	// Tracer, when non-nil, times the grid's kernels: density_raster and
-	// poisson_solve (Update's two passes) and field_sample (AddGrad).
+	// poisson_solve (Update's two passes) and field_sample (AddGrad). It
+	// also counts the row pairs each solve transforms in F1, as
+	// poisson.row_pairs.
 	Tracer *obs.Tracer
 }
 
@@ -103,6 +114,7 @@ func NewElectrostatic(m int, region geom.Rect) *Electrostatic {
 		b0:       make([]float64, m),
 		b1:       make([]float64, m),
 		partRho:  make([]float64, m*m),
+		covered:  make([]bool, m/2),
 		wuTab:    make([]float64, m),
 		wvTab:    make([]float64, m),
 		scaleTab: make([]float64, m*m),
@@ -206,8 +218,9 @@ func (g *Electrostatic) Update(n *circuit.Netlist, p *circuit.Placement) {
 	g.accumulate(n, p)
 	g.Tracer.Kernel("density_raster", t0)
 	t1 := g.Tracer.Now()
-	g.solve()
+	pairs := g.solve()
 	g.Tracer.Kernel("poisson_solve", t1)
+	g.Tracer.Count("poisson.row_pairs", float64(pairs))
 }
 
 // accumulate builds the device footprints and rasterizes them into the ρ
@@ -243,7 +256,7 @@ func (g *Electrostatic) accumulate(n *circuit.Netlist, p *circuit.Placement) {
 // rectangle overlaps with the overlap lengths. A device's rectangle covers
 // the product of its x and y bins, so each overlap is computed once per
 // axis bin rather than once per grid bin, and once per Update rather than
-// again in AddGrad.
+// again in AddGrad. It also marks the row pairs the y bins cover.
 func (g *Electrostatic) buildFootprints(n *circuit.Netlist, p *circuit.Placement) {
 	nd := len(n.Devices)
 	if len(g.scale) != nd {
@@ -262,6 +275,10 @@ func (g *Electrostatic) buildFootprints(n *circuit.Netlist, p *circuit.Placement
 		g.xOff[i+1] = len(g.xOv)
 		g.yOff[i+1] = len(g.yOv)
 	}
+	clear(g.covered)
+	for _, y := range g.yOv {
+		g.covered[y.bin/2] = true
+	}
 }
 
 // appendOverlaps appends the bins that [a, b) overlaps along an axis with
@@ -271,7 +288,7 @@ func appendOverlaps(dst []overlap, a, b, o, s float64, m int) []overlap {
 	lo, hi := binRange(a, b, o, s, m)
 	for k := lo; k < hi; k++ {
 		klo := o + float64(k)*s
-		ov := math.Min(b, klo+s) - math.Max(a, klo)
+		ov := min(b, klo+s) - max(a, klo)
 		if ov <= 0 {
 			continue
 		}
@@ -302,38 +319,57 @@ func (g *Electrostatic) rasterize(lo, hi int, dst []float64) {
 }
 
 // solve computes ξ and the energy partials from the current ρ via the
-// packed, fused spectral Poisson solve. Data flow (DESIGN.md §14 has the
-// derivation), with R the raw 2-D DCT-II of ρ and s = scaleTab:
+// packed, fused spectral Poisson solve, and returns the number of row
+// pairs F1 transformed. Data flow (DESIGN.md §14 has the derivation), with
+// R the raw 2-D DCT-II of ρ and s = scaleTab:
 //
-//	F1  DCT over x of every ρ row, written down work's columns → work[u][y]
+//	F1  DCT over x of covered ρ row pairs, down work's columns → work[u][y]
 //	F2  DCT over y of every row, fused ·s and Σ_v s·R² per u   → auv[u][v]  (ψ coefficients)
 //	R1  InvCos over v of every row, written down columns       → work[y][u] (shared half-reconstruction Q)
-//	R2a InvSin over u of wu-scaled rows                        → ξx rows
+//	R2a InvSin over u of wu-scaled rows, covered pairs         → ξx rows
 //	R1b InvSin over v of wv-scaled auv rows, down columns      → work[y][u]
-//	R2b InvCos over u                                          → ξy rows
+//	R2b InvCos over u of rows, covered pairs                   → ξy rows
 //
 // The field coefficients a·wu/(wu²+wv²) and a·wv/(wu²+wv²) are the ψ
 // coefficients times a constant per u-line or per v-line, so neither needs
 // a coefficient grid: ξx scales Q's rows by wu before its inverse over u,
 // and ξy scales auv's rows by wv before its inverse over v. That is two
 // forward and four inverse line passes, and with two real lines packed per
-// complex FFT, 3m length-m FFTs per solve. The passes that turn the grid
-// from rows to columns (F1, R1, R1b) write each output line down a column
-// of work, so no pass transposes.
+// complex FFT, at most 3m length-m FFTs per solve. The passes that turn
+// the grid from rows to columns (F1, R1, R1b) write each output line down
+// a column of work, so no pass transposes.
+//
+// The three passes with one line per grid row run only on the row pairs
+// the footprints cover (g.covered). An uncovered pair's two ρ rows are
+// all zero, and the pair DCT of two zero lines is +0 in every output, so
+// F1 writes +0 down its two columns instead, and F2 reads the bits it
+// would have read. R2a and R2b skip the pair: AddGrad samples ξ only on
+// footprint rows. Every line that is computed keeps its pairing and its
+// order of operations, so ξ on covered rows, auv and the energy are the
+// bits of the full solve.
 //
 // Mean neutralization is implicit: subtracting the mean density only
 // changes the (0,0) DCT term, and scaleTab zeroes exactly that term, so
 // no explicit neutralization sweep is needed. The DCT normalization and
 // Poisson kernel are likewise one fused table multiply (see setRegion).
-func (g *Electrostatic) solve() {
+func (g *Electrostatic) solve() int {
 	m := g.m
 	plan := g.plan
 	rho, auv, work := g.rho, g.auv, g.work
 	b0, b1 := g.b0, g.b1
-	// F1: forward DCT along x of every ρ row, two rows per complex FFT,
-	// row y's spectrum written down column y of work.
+	covered := g.covered
+	// F1: forward DCT along x of every covered ρ row pair, two rows per
+	// complex FFT, row y's spectrum written down column y of work.
+	pairs := 0
 	for y := 0; y < m; y += 2 {
+		if !covered[y/2] {
+			for u := 0; u < m*m; u += m {
+				work[u+y], work[u+y+1] = 0, 0
+			}
+			continue
+		}
 		plan.DCT2PairTo(rho[y*m:y*m+m], rho[y*m+m:y*m+2*m], work[y:], work[y+1:], m)
+		pairs++
 	}
 	// F2: forward DCT along y, scaled in place to ψ coefficients while the
 	// rows are cache-hot. Each raw coefficient r is also folded into its
@@ -349,9 +385,13 @@ func (g *Electrostatic) solve() {
 	for u := 0; u < m; u += 2 {
 		plan.InvCosPairTo(auv[u*m:u*m+m], auv[u*m+m:u*m+2*m], work[u:], work[u+1:], m)
 	}
-	// R2a: per output row y, ξx = InvSin over u of Q's row y scaled by wu
-	// (the per-u constant that turns ψ coefficients into ξx coefficients).
+	// R2a: per covered output row y, ξx = InvSin over u of Q's row y
+	// scaled by wu (the per-u constant that turns ψ coefficients into ξx
+	// coefficients).
 	for y := 0; y < m; y += 2 {
+		if !covered[y/2] {
+			continue
+		}
 		q0, q1 := work[y*m:y*m+m], work[y*m+m:y*m+2*m]
 		for u, w := range g.wuTab {
 			b0[u] = w * q0[u]
@@ -370,11 +410,15 @@ func (g *Electrostatic) solve() {
 		}
 		plan.InvSinPairTo(b0, b1, work[u:], work[u+1:], m)
 	}
-	// R2b: ξy rows = InvCos over u of S's rows.
+	// R2b: covered ξy rows = InvCos over u of S's rows.
 	for y := 0; y < m; y += 2 {
+		if !covered[y/2] {
+			continue
+		}
 		plan.InvCosPairTo(work[y*m:y*m+m], work[y*m+m:y*m+2*m],
 			g.ey[y*m:y*m+m], g.ey[y*m+m:y*m+2*m], 1)
 	}
+	return pairs
 }
 
 // scaleLine scales the raw DCT line r by s in place and returns
@@ -429,15 +473,23 @@ func (g *Electrostatic) AddGrad(gradX, gradY []float64) {
 	g.Tracer.Kernel("field_sample", t0)
 }
 
-// Overflow returns the density overflow ratio τ: the total device area in
-// bins whose density exceeds targetDensity, normalized by total device
-// area. ePlace-style global placement stops when τ drops below a threshold.
-func (g *Electrostatic) Overflow(n *circuit.Netlist, targetDensity float64) float64 {
+// Overflow returns the density overflow ratio τ at the last Update: the
+// device area above density 1 (the target) in each bin, summed over the
+// bins and normalized by total device area. ePlace-style global placement
+// stops when τ drops below a threshold. Only covered row pairs are
+// scanned, since every other row of ρ is zero, below the target.
+func (g *Electrostatic) Overflow(n *circuit.Netlist) float64 {
+	m := g.m
 	binArea := g.binW * g.binH
 	var over float64
-	for _, r := range g.rho {
-		if r > targetDensity {
-			over += (r - targetDensity) * binArea
+	for k, c := range g.covered {
+		if !c {
+			continue
+		}
+		for _, r := range g.rho[2*k*m : 2*k*m+2*m] {
+			if r > 1 {
+				over += (r - 1) * binArea
+			}
 		}
 	}
 	total := n.TotalDeviceArea()

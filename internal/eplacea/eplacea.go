@@ -244,7 +244,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad
 			iterRun = iter + 1
 			// The grid's last Update was the accepted step's objective
 			// evaluation; rejected backtracking trials never reach here.
-			st.lastOverflow = grid.Overflow(n, 1.0)
+			st.lastOverflow = grid.Overflow(n)
 			if opt.Tracer.Enabled() {
 				copy(p.X, cur[:nd])
 				copy(p.Y, cur[nd:])
@@ -297,7 +297,7 @@ func Place(ctx context.Context, n *circuit.Netlist, opt Options, extra ExtraGrad
 	res := &Result{
 		Placement:  p,
 		Iterations: iterRun,
-		Overflow:   grid.Overflow(n, 1.0),
+		Overflow:   grid.Overflow(n),
 		HPWL:       n.HPWL(p),
 		Region:     region,
 		Stop:       stop,

@@ -15,11 +15,11 @@ type Tolerances struct {
 	// TimeTol is the allowed relative increase in wall time and per-stage
 	// self time (default 0.25 — wall clocks are noisy).
 	TimeTol float64
-	// MinStageMS ignores stages whose self time is below this floor in
-	// both traces; relative deltas on microsecond stages are pure noise
-	// (default 5 ms).
-	MinStageMS float64
 }
+
+// minStageMS is the self-time floor below which Diff skips a stage in
+// both traces: relative deltas on microsecond stages are pure noise.
+const minStageMS = 5
 
 func (o *Tolerances) defaults() {
 	if o.HPWLTol == 0 {
@@ -27,9 +27,6 @@ func (o *Tolerances) defaults() {
 	}
 	if o.TimeTol == 0 {
 		o.TimeTol = 0.25
-	}
-	if o.MinStageMS == 0 {
-		o.MinStageMS = 5
 	}
 }
 
@@ -92,7 +89,7 @@ func Diff(a, b *Report, opt Tolerances) *DiffReport {
 	}
 	for _, sa := range a.Stages {
 		sb, ok := bStages[sa.Path]
-		if !ok || (sa.SelfMS < opt.MinStageMS && sb.SelfMS < opt.MinStageMS) {
+		if !ok || (sa.SelfMS < minStageMS && sb.SelfMS < minStageMS) {
 			continue
 		}
 		add("stage_self_ms:"+sa.Path, sa.SelfMS, sb.SelfMS, opt.TimeTol)

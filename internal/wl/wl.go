@@ -226,8 +226,8 @@ func waSpan(lo, hi, grad, ep, em []float64, gamma float64, wantGrad bool) float6
 	}
 	maxC, minC := hi[0], lo[0]
 	for i := 1; i < len(lo); i++ {
-		maxC = math.Max(maxC, hi[i])
-		minC = math.Min(minC, lo[i])
+		maxC = max(maxC, hi[i])
+		minC = min(minC, lo[i])
 	}
 	var sp, tp, sm, tm float64 // S+, T+, S-, T-
 	for i := range lo {
@@ -259,8 +259,8 @@ func lseAxis(coords, grad, ep, em []float64, gamma float64, wantGrad bool) float
 	}
 	maxC, minC := coords[0], coords[0]
 	for _, c := range coords[1:] {
-		maxC = math.Max(maxC, c)
-		minC = math.Min(minC, c)
+		maxC = max(maxC, c)
+		minC = min(minC, c)
 	}
 	var sp, sm float64
 	for i, c := range coords {
